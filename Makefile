@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: all build test vet test-v1 bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
+.PHONY: all build test vet bench-check bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
 
 all: build
 
@@ -14,11 +14,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Run the storage-touching suites with the journal pinned to format v1
-# (JSON): the rollback path of -store-format must keep passing the same
-# crash/torn-tail/recovery tests as the v2 default.
-test-v1:
-	QUERYLEARN_STORE_FORMAT=v1 $(GO) test ./internal/store ./internal/session ./internal/server
+# The benchmark (bench/) is a module of its own that imports internal
+# packages, so the root build and tests never compile it: vet it and run its
+# short tests here, or an internal API change can break it unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Quick sanity pass over the tentpole benchmarks (naive vs optimized
 # evaluation core); catches gross perf/correctness regressions in seconds.
@@ -30,9 +30,8 @@ bench-smoke:
 bench-t14:
 	$(GO) run ./cmd/benchrunner -only T14
 
-# Recovery-format benchmark (T17): cold-open throughput v2 vs v1 on
-# identical corpora plus allocs/op on POST answers — the storage codec's
-# perf gate.
+# Recovery-format benchmark (T17): cold-open throughput of the binary
+# journal plus allocs/op on POST answers — the storage codec's perf gate.
 bench-recovery:
 	$(GO) run ./cmd/benchrunner -only T17
 
@@ -103,4 +102,4 @@ api-check:
 		echo "$$leaks"; exit 1; \
 	fi
 
-ci: build vet test test-v1 bench-smoke bench-t14 bench-recovery bench-t19 chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check
+ci: build vet test bench-check bench-smoke bench-t14 bench-recovery bench-t19 chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check

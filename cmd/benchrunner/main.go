@@ -1,6 +1,6 @@
 // Command benchrunner regenerates every experiment table of the
-// reproduction (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
-// the recorded results).
+// reproduction (see internal/experiments/tables.go for the per-experiment
+// index and the BENCH_PR*.json files for recorded results).
 //
 // Usage:
 //

@@ -63,7 +63,6 @@ func hardenServer(srv *http.Server) *http.Server {
 type storeConfig struct {
 	dataDir      string
 	fsync        string
-	format       string
 	compactEvery time.Duration
 	// faults is the -fault-spec registry (nil in production runs); the
 	// store registers its injection points here on open.
@@ -111,7 +110,7 @@ func openManager(cfg session.Config, sc storeConfig, prep func(*store.Store, *se
 	if sc.dataDir == "" {
 		return session.NewManager(cfg), nil, nil
 	}
-	st, snaps, err := store.Open(sc.dataDir, store.Options{Fsync: sc.fsync, Format: sc.format, Faults: sc.faults, Obs: sc.obs})
+	st, snaps, err := store.Open(sc.dataDir, store.Options{Fsync: sc.fsync, Faults: sc.faults, Obs: sc.obs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,7 +157,6 @@ func run(args []string, out io.Writer) error {
 	sweep := fs.Duration("sweep-interval", time.Minute, "TTL sweep period")
 	dataDir := fs.String("data-dir", "", "journal live sessions under this directory and recover them on restart (empty = in-memory only)")
 	fsync := fs.String("fsync", store.FsyncBatched, "journal durability: off (OS decides), batched (background group commit), always (fsync per mutation)")
-	storeFormat := fs.String("store-format", "", "journal record format for new writes: v2 (binary, the default) or v1 (JSON, rollback); either format is always readable")
 	compactEvery := fs.Duration("compact-every", 5*time.Minute, "rewrite the journal as snapshots this often (0 = only at boot)")
 	maxInflight := fs.Int("max-inflight", 64, "per-shard in-flight request budget; excess requests are shed with 429 overloaded (0 = unlimited)")
 	faultSpec := fs.String("fault-spec", "", `DEV ONLY: arm deterministic fault injection, e.g. "store.append=error:times=3,server.request=latency:delay=50ms" (see internal/fault)`)
@@ -186,7 +184,7 @@ func run(args []string, out io.Writer) error {
 			PathPoolMaxLen: *pathPoolMaxLen,
 		},
 	}
-	sc := storeConfig{dataDir: *dataDir, fsync: *fsync, format: *storeFormat, compactEvery: *compactEvery}
+	sc := storeConfig{dataDir: *dataDir, fsync: *fsync, compactEvery: *compactEvery}
 	if *maxBody <= 0 {
 		return fmt.Errorf("-max-body-bytes must be positive (got %d)", *maxBody)
 	}

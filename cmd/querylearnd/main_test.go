@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"querylearn/internal/obs"
 	"querylearn/internal/server"
 	"querylearn/internal/session"
 	"querylearn/internal/store"
@@ -166,18 +167,12 @@ func TestDaemonKillRecovery(t *testing.T) {
 	if health.Status != "ok" || health.Store == nil || health.Store.Fsync != store.FsyncOff {
 		t.Errorf("healthz = %+v", health)
 	}
-	var metrics struct {
-		Store *struct {
-			Recovered struct {
-				Sessions int `json:"sessions"`
-			} `json:"recovered"`
-		} `json:"store"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, ts2, "/metrics")), &metrics); err != nil {
+	exp, err := obs.ParseExposition(strings.NewReader(httpGet(t, ts2, "/metrics")))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Store == nil || metrics.Store.Recovered.Sessions != 1 {
-		t.Errorf("metrics store block = %+v", metrics.Store)
+	if v, ok := exp.Value("querylearn_store_recovered_sessions"); !ok || v != 1 {
+		t.Errorf("recovered sessions gauge = %v (present=%v), want 1", v, ok)
 	}
 }
 

@@ -12,8 +12,9 @@
 // internal/rellearn, internal/graph, internal/graphlearn,
 // internal/interact, internal/crowd, internal/exchange, and the benchmark
 // substrate in internal/xmark and internal/experiments. See README.md for a
-// tour, DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// claim-by-claim reproduction record.
+// tour; the experiment tables (cmd/benchrunner, indexed in
+// internal/experiments/tables.go) and their recorded runs (BENCH_PR*.json)
+// are the claim-by-claim reproduction record.
 //
 // The serving stack layers the interactive loop into a durable daemon; each
 // layer only sees the one below it, and both ends of the wire share one
@@ -35,8 +36,7 @@
 //	internal/cluster     optional multi-node layer (-cluster-node/-peers),
 //	        │            wrapped around the server's handler: a consistent-
 //	        │            hash ring routes each session to the node that
-//	        │            minted it (307 redirects on /v1, server-side
-//	        │            proxying for legacy routes, X-Querylearn-Node on
+//	        │            minted it (307 redirects, X-Querylearn-Node on
 //	        │            every response); followers replicate each owner's
 //	        │            journal over GET /v1/cluster/ship (raw on-disk
 //	        │            frames, resumable by LSN cursor) into in-memory
@@ -46,13 +46,14 @@
 //	        │            latch, boot-grace for rolling starts) and
 //	        │            survivors adopt the fenced node's sessions; a
 //	        │            replication barrier holds each mutation's
-//	        │            response until a follower's cursor covers it
+//	        │            response until every unfenced peer's follower
+//	        │            cursor covers it
 //	        ▼
 //	internal/server      versioned JSON HTTP API (/v1/...) over the
 //	        │            sessions, with batch question dispatch, paginated
-//	        │            listing, and idempotent writes; /metrics and
-//	        │            /healthz surface manager counters and, when
-//	        │            durable, the store's journal-lag/compaction block
+//	        │            listing, and idempotent writes; /metrics is the
+//	        │            Prometheus exposition of the shared registry and
+//	        │            /healthz a JSON liveness/durability summary
 //	        ▼
 //	internal/session     Manager of live dialogues (sharded, per-session
 //	        │            locks, budgets, TTL); every mutation is one Event
@@ -66,9 +67,8 @@
 //	                     event encoding with a per-file string intern table
 //	                     (dictionary records), dispatched per record by its
 //	                     first byte so v1 JSON and v2 mix in one file; the
-//	                     store writes the configured format (-store-format,
-//	                     default v2), reads both, and upgrades v1 files to
-//	                     v2 at their first compaction
+//	                     store writes v2, reads both, and upgrades v1
+//	                     files to v2 at their first compaction
 //
 // Observability cuts across the serving stack rather than sitting in it:
 // internal/obs provides the zero-dependency metrics core (atomic
@@ -77,8 +77,9 @@
 // and every serving layer records into one shared registry — the server its
 // per-endpoint/per-code request histograms, the session manager its
 // lock/learner/journal phases, the store its append/fsync/compaction
-// timings and journal-lag gauges. GET /metrics renders the registry as both
-// the legacy JSON document and ?format=prometheus exposition; the daemon
+// timings and journal-lag gauges. GET /metrics renders the registry in the
+// Prometheus text exposition format (one surface; any format parameter is
+// ignored); the daemon
 // adds pprof + runtime/metrics on -debug-addr and a sampled slow-request
 // log keyed by X-Request-Id. internal/loadgen + cmd/loadgen drive the stack
 // open-loop (Poisson arrivals, zipf session popularity) for the T16
@@ -109,15 +110,11 @@
 // inside snapshots and journal events so resume/recovery rebuilds the exact
 // version space. See README.md's "Scale limits".
 //
-// Legacy-route deprecation policy: the pre-v1 unversioned routes (POST
-// /sessions, GET /sessions/{id}/question, ...) remain as thin aliases of
-// their /v1 successors. They answer identically but set a "Deprecation:
-// true" header plus a Link to the successor route, keep lax request
-// decoding for old clients (no Content-Type requirement, unknown body
-// fields ignored — where /v1 demands application/json and rejects unknown
-// fields), and do not gain v1-only features (batch questions, session
-// listing, idempotency keys; the Idempotency-Key header is ignored on
-// aliases). Aliases are removed no earlier than two minor releases after v1;
-// the deprecated_requests counter in GET /metrics tracks remaining legacy
-// traffic.
+// Deprecation policy, amended: the pre-v1 unversioned routes (POST
+// /sessions, GET /sessions/{id}/question, ...) were served as deprecated
+// aliases of their /v1 successors, to be removed no earlier than two minor
+// releases after v1. This release removes them ahead of that schedule: the
+// bundled SDK, tools and benchmark all speak /v1, and a second route set,
+// lax decoder and cluster reverse proxy were carrying cost for no caller.
+// Unversioned session paths now answer 404; /v1 is the only protocol.
 package querylearn

@@ -58,7 +58,7 @@ type Config struct {
 	// fenced as usual.
 	BootGrace time.Duration
 	// AckTimeout bounds the replication barrier: how long a mutation's 2xx
-	// may wait for every live peer to apply it (default 2s). A timeout
+	// may wait for every unfenced peer to apply it (default 2s). A timeout
 	// releases the response anyway and increments
 	// querylearn_cluster_ack_timeouts_total — availability over strictness,
 	// but counted.
@@ -111,7 +111,6 @@ type Cluster struct {
 	curC      chan struct{}
 
 	followers map[string]*follower
-	proxies   map[string]*reverseProxy
 
 	// readers caches one journal TailReader per following peer so each
 	// long-poll resumes in O(1) instead of rescanning the file.
@@ -128,7 +127,6 @@ type Cluster struct {
 	shippedRecords *obs.CounterVec
 	shippedBytes   *obs.CounterVec
 	redirects      *obs.Counter
-	proxied        *obs.Counter
 	ackTimeouts    *obs.Counter
 	promotions     *obs.Counter
 	adopted        *obs.Counter
@@ -205,7 +203,6 @@ func New(cfg Config) (*Cluster, error) {
 		followCur: map[string]store.Cursor{},
 		curC:      make(chan struct{}),
 		followers: map[string]*follower{},
-		proxies:   map[string]*reverseProxy{},
 		readers:   map[string]*store.TailReader{},
 		stopC:     make(chan struct{}),
 	}
@@ -225,10 +222,8 @@ func New(cfg Config) (*Cluster, error) {
 		"framed journal bytes shipped from the peer and applied locally", "peer")
 	c.redirects = reg.Counter("querylearn_cluster_redirects_total",
 		"v1 requests 307-redirected to the owning node")
-	c.proxied = reg.Counter("querylearn_cluster_proxied_total",
-		"legacy requests reverse-proxied to the owning node")
 	c.ackTimeouts = reg.Counter("querylearn_cluster_ack_timeouts_total",
-		"mutations released before every live peer acknowledged replication")
+		"mutations released before every unfenced peer acknowledged replication")
 	c.promotions = reg.Counter("querylearn_cluster_promotions_total",
 		"peer failovers this node promoted a shipped log for")
 	c.adopted = reg.Counter("querylearn_cluster_adopted_sessions_total",
@@ -241,7 +236,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.state[p.ID] = stateUnknown
 		c.peerState.With(p.ID).Set(stateUnknown)
 		c.followers[p.ID] = newFollower(c, p)
-		c.proxies[p.ID] = newReverseProxy(p)
 	}
 	return c, nil
 }
@@ -335,10 +329,15 @@ func (c *Cluster) setAlive(id string) bool {
 }
 
 // fence latches a peer dead and promotes this node's copy of its journal:
-// under the routing gate, the follower is sealed and the ring-share of the
-// peer's sessions that now maps here is adopted. Every survivor runs this
-// independently and the shares are disjoint by construction.
+// under the routing gate, the state flips to fenced, the follower is sealed
+// and the ring-share of the peer's sessions that now maps here is adopted.
+// Flipping inside the gate matters: a request routed between the flip and
+// the adoption would reach this node's ring arc before the sessions exist
+// here, and 404. Every survivor runs this independently and the shares are
+// disjoint by construction.
 func (c *Cluster) fence(id string) {
+	c.gate.Lock()
+	defer c.gate.Unlock()
 	c.stateMu.Lock()
 	if c.state[id] == stateFenced {
 		c.stateMu.Unlock()
@@ -350,8 +349,6 @@ func (c *Cluster) fence(id string) {
 	c.curC = make(chan struct{})
 	c.stateMu.Unlock()
 
-	c.gate.Lock()
-	defer c.gate.Unlock()
 	f := c.followers[id]
 	snaps, cur := f.seal()
 	mine := snaps[:0]
@@ -402,16 +399,20 @@ func (c *Cluster) recordFollowerCursor(peerID string, cur store.Cursor) {
 	c.curC = make(chan struct{})
 }
 
-// awaitReplication blocks until every live peer's follower cursor covers
+// awaitReplication blocks until every unfenced peer's follower cursor covers
 // target, the timeout passes (false), or the cluster stops. This is the
-// replication barrier under every locally-served mutation's 2xx.
+// replication barrier under every locally-served mutation's 2xx. Peers not
+// yet probed (unknown) count: they are routable, so they inherit sessions on
+// the ring if this node dies, and an ack released without them could be
+// lost. At boot a mutation therefore waits (up to the timeout) until every
+// peer's follower has polled once.
 func (c *Cluster) awaitReplication(target store.Cursor, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		c.stateMu.Lock()
 		covered := true
 		for id, st := range c.state {
-			if st != stateAlive {
+			if st == stateFenced {
 				continue
 			}
 			cur, ok := c.followCur[id]
@@ -442,12 +443,12 @@ func (c *Cluster) awaitReplication(target store.Cursor, timeout time.Duration) b
 	}
 }
 
-// hasAlivePeers reports whether the barrier has anyone to wait for.
-func (c *Cluster) hasAlivePeers() bool {
+// hasLivePeers reports whether the barrier has anyone to wait for.
+func (c *Cluster) hasLivePeers() bool {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
 	for _, st := range c.state {
-		if st == stateAlive {
+		if st != stateFenced {
 			return true
 		}
 	}
@@ -473,12 +474,11 @@ type PeerStats struct {
 	Sessions int `json:"sessions,omitempty"`
 }
 
-// Stats is the cluster block /metrics and /healthz embed.
+// Stats is the cluster block /healthz embeds.
 type Stats struct {
 	NodeID          string      `json:"node_id"`
 	Peers           []PeerStats `json:"peers"`
 	Redirects       int64       `json:"redirects"`
-	Proxied         int64       `json:"proxied"`
 	AckTimeouts     int64       `json:"ack_timeouts"`
 	Promotions      int64       `json:"promotions"`
 	AdoptedSessions int64       `json:"adopted_sessions"`
@@ -489,7 +489,6 @@ func (c *Cluster) Stats() Stats {
 	s := Stats{
 		NodeID:          c.self.ID,
 		Redirects:       c.redirects.Value(),
-		Proxied:         c.proxied.Value(),
 		AckTimeouts:     c.ackTimeouts.Value(),
 		Promotions:      c.promotions.Value(),
 		AdoptedSessions: c.adopted.Value(),

@@ -221,7 +221,7 @@ func nextQuestion(t *testing.T, base, id string) (api.Question, bool) {
 	return *out.Question, true
 }
 
-func TestClusterRedirectAndProxy(t *testing.T) {
+func TestClusterRedirect(t *testing.T) {
 	nodes := startCluster(t, 3)
 	ws, err := loadgen.Builtin()
 	if err != nil {
@@ -250,28 +250,14 @@ func TestClusterRedirectAndProxy(t *testing.T) {
 		t.Fatalf("followed redirect: HTTP %d, status id %q", resp.StatusCode, st.ID)
 	}
 
-	// Legacy (unversioned) paths are proxied, not redirected: the non-owner
-	// answers 200 itself, stamped with the owner's node id.
-	resp = getJSON(t, noRedirect, nodes[2].base+"/sessions/"+id, &st)
-	if resp.StatusCode != http.StatusOK || st.ID != id {
-		t.Fatalf("legacy proxy: HTTP %d, status id %q", resp.StatusCode, st.ID)
-	}
-	if got := resp.Header.Get(api.NodeHeader); got != "n1" {
-		t.Fatalf("proxied %s = %q, want n1 (exactly the owner's stamp)", api.NodeHeader, got)
-	}
-
 	// Owner-local requests pass through with this node's own stamp.
 	resp = getJSON(t, noRedirect, nodes[0].base+"/v1/sessions/"+id, &st)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(api.NodeHeader) != "n1" {
 		t.Fatalf("owner-local: HTTP %d node %q", resp.StatusCode, resp.Header.Get(api.NodeHeader))
 	}
 
-	s := nodes[1].c.Stats()
-	if s.Redirects == 0 {
+	if nodes[1].c.Stats().Redirects == 0 {
 		t.Fatal("n2 counted no redirects")
-	}
-	if nodes[2].c.Stats().Proxied == 0 {
-		t.Fatal("n3 counted no proxied requests")
 	}
 }
 
@@ -439,19 +425,12 @@ func TestClusterMetricsExposition(t *testing.T) {
 		t.Error("redirects counter not incremented in scrape")
 	}
 
-	// The JSON /metrics and /healthz views carry the cluster block too.
-	var m struct {
-		Cluster *cluster.Stats `json:"cluster"`
-	}
-	getJSON(t, http.DefaultClient, nodes[1].base+"/metrics", &m)
-	if m.Cluster == nil || m.Cluster.NodeID != "n2" || len(m.Cluster.Peers) != 3 {
-		t.Fatalf("JSON metrics cluster block: %+v", m.Cluster)
-	}
+	// /healthz carries the cluster block.
 	var h struct {
 		Cluster *cluster.Stats `json:"cluster"`
 	}
 	getJSON(t, http.DefaultClient, nodes[1].base+"/healthz", &h)
-	if h.Cluster == nil || h.Cluster.NodeID != "n2" {
+	if h.Cluster == nil || h.Cluster.NodeID != "n2" || len(h.Cluster.Peers) != 3 {
 		t.Fatalf("healthz cluster block: %+v", h.Cluster)
 	}
 	for _, p := range h.Cluster.Peers {

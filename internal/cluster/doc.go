@@ -12,10 +12,9 @@
 //
 //   - Routing (router.go). Cluster.Router wraps the server's handler as
 //     outer middleware. Requests for sessions another node owns are
-//     307-redirected on /v1 (the SDK follows, preserving the body and the
-//     Idempotency-Key) and transparently reverse-proxied on the legacy
-//     unversioned paths, whose clients predate the redirect contract. Every
-//     response names the serving node in X-Querylearn-Node.
+//     307-redirected (the SDK follows, preserving the body and the
+//     Idempotency-Key). Every response names the serving node in
+//     X-Querylearn-Node.
 //
 //   - Journal shipping (follower.go, the ship handler in router.go). Every
 //     node follows every peer: a long-polling GET /v1/cluster/ship streams
@@ -30,11 +29,11 @@
 //     serving "continuity" out of a different file. The from_lsn the
 //     follower presents doubles as its applied-cursor report, which the
 //     owner's replication barrier (serveLocal) uses to hold each mutation's
-//     2xx until every live peer has applied it — that is what makes
-//     "acknowledged" mean "survives the owner's death". A report only
-//     counts once it is proven against the live epoch and journal extent,
-//     and (when Config.Secret is set) the whole endpoint is gated on a
-//     shared secret.
+//     2xx until every unfenced peer — probed or not yet — has applied it;
+//     that is what makes "acknowledged" mean "survives the owner's death".
+//     A report only counts once it is proven against the live epoch and
+//     journal extent, and (when Config.Secret is set) the whole endpoint is
+//     gated on a shared secret.
 //
 //   - Failover (prober.go). Each node probes its peers' /healthz; FailAfter
 //     consecutive failures fence the peer — a permanent latch under the
@@ -46,6 +45,5 @@
 //     to each other.
 //
 // The package deliberately does not import internal/server; the server
-// imports this package only for the Stats block it embeds in /metrics and
-// /healthz.
+// imports this package only for the Stats block it embeds in /healthz.
 package cluster

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -37,8 +35,8 @@ const (
 const CodeNotOwner = "not_owner"
 
 // Router wraps the server's handler with cluster routing: the ship endpoint,
-// ownership redirects/proxying, and the replication barrier on locally
-// served mutations. It must be the outermost layer so redirects fire before
+// ownership redirects, and the replication barrier on locally served
+// mutations. It must be the outermost layer so redirects fire before
 // any local side effect.
 func (c *Cluster) Router(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -52,7 +50,7 @@ func (c *Cluster) Router(inner http.Handler) http.Handler {
 			c.handleShip(w, r)
 			return
 		}
-		id, v1, route := routeKey(r)
+		id, route := routeKey(r)
 		if route == routeResume {
 			id = c.peekResumeID(r)
 		}
@@ -67,15 +65,7 @@ func (c *Cluster) Router(inner http.Handler) http.Handler {
 			c.serveLocal(inner, w, r)
 			return
 		}
-		if v1 {
-			c.redirect(w, r, owner)
-			return
-		}
-		c.proxied.Inc()
-		// The owner's router stamps its own node header on the proxied
-		// response; drop ours so the client sees exactly one value.
-		w.Header().Del(api.NodeHeader)
-		c.proxies[owner.ID].serve(w, r)
+		c.redirect(w, r, owner)
 	})
 }
 
@@ -88,43 +78,37 @@ const (
 )
 
 // routeKey extracts the routing decision from a request path: the session id
-// for /sessions/{id}... paths, the resume marker for the resume endpoints
+// for /v1/sessions/{id}... paths, the resume marker for the resume endpoint
 // (id lives in the body), local for everything else — create and list are
 // local by construction (ids are minted locally-owned; the list is
-// per-node), and the infra endpoints never leave the node.
-func routeKey(r *http.Request) (id string, v1 bool, kind routeKind) {
-	p := r.URL.Path
-	if rest, ok := strings.CutPrefix(p, api.V1Prefix+"/"); ok {
-		p, v1 = "/"+rest, true
+// per-node), the infra endpoints never leave the node, and unversioned
+// paths fall through to the inner server's 404.
+func routeKey(r *http.Request) (id string, kind routeKind) {
+	const sessions = api.V1Prefix + "/sessions/"
+	if r.URL.Path == sessions+"resume" {
+		return "", routeResume
 	}
-	if p == "/sessions/resume" {
-		return "", v1, routeResume
-	}
-	rest, ok := strings.CutPrefix(p, "/sessions/")
+	rest, ok := strings.CutPrefix(r.URL.Path, sessions)
 	if !ok {
-		return "", v1, routeLocal
+		return "", routeLocal
 	}
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		rest = rest[:i]
 	}
-	return rest, v1, routeSession
+	return rest, routeSession
 }
 
 // peekResumeID buffers a resume body, extracts the snapshot id, and restores
-// the body for whoever serves the request next (the inner server or the
-// reverse proxy). The peek is capped at the server's configured body limit
-// (Config.MaxBodyBytes) — the router runs outside the inner server's
-// MaxBytesReader, so without its own cap N concurrent oversized posts would
-// pin N unbounded buffers before any limit applied. A body that is
+// the body for the inner server. The peek is capped at the server's
+// configured body limit (Config.MaxBodyBytes) — the router runs outside the
+// inner server's MaxBytesReader, so without its own cap N concurrent
+// oversized posts would pin N unbounded buffers before any limit applied. A body that is
 // oversized or not JSON routes local, where the inner server produces the
 // proper structured error (413 for oversized).
 func (c *Cluster) peekResumeID(r *http.Request) string {
 	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
 	r.Body.Close()
 	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.GetBody = func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(body)), nil
-	}
 	if err != nil || int64(len(body)) > c.cfg.MaxBodyBytes {
 		return ""
 	}
@@ -137,7 +121,7 @@ func (c *Cluster) peekResumeID(r *http.Request) string {
 	return peek.ID
 }
 
-// redirect answers a /v1 request for a session another node owns: 307 with
+// redirect answers a request for a session another node owns: 307 with
 // the owner's absolute URL, X-Querylearn-Node naming the owner. 307 keeps
 // the method and body; the SDK (and any stdlib client) re-sends the request
 // — Idempotency-Key included — at the owner.
@@ -149,34 +133,13 @@ func (c *Cluster) redirect(w http.ResponseWriter, r *http.Request, owner Peer) {
 		"session is owned by node %s; follow the redirect", owner.ID)
 }
 
-// reverseProxy forwards legacy-path requests to the owning peer. Legacy
-// clients predate the 307 contract and may not replay non-idempotent
-// bodies, so the cluster replays for them.
-type reverseProxy struct {
-	rp *httputil.ReverseProxy
-}
-
-func newReverseProxy(p Peer) *reverseProxy {
-	target := &url.URL{Scheme: "http", Host: p.Addr}
-	rp := httputil.NewSingleHostReverseProxy(target)
-	rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		writeClusterError(w, http.StatusBadGateway, api.CodeJournalUnavailable,
-			"owner node unreachable: %v", err)
-	}
-	return &reverseProxy{rp: rp}
-}
-
-func (p *reverseProxy) serve(w http.ResponseWriter, r *http.Request) {
-	p.rp.ServeHTTP(w, r)
-}
-
 // serveLocal runs the inner handler, holding successful mutations behind
-// the replication barrier: the 2xx is buffered until every live peer's
+// the replication barrier: the 2xx is buffered until every unfenced peer's
 // follower cursor covers the journal tail the mutation produced. Reads and
 // failures pass straight through.
 func (c *Cluster) serveLocal(inner http.Handler, w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet || r.Method == http.MethodHead ||
-		r.Method == http.MethodOptions || !c.hasAlivePeers() {
+		r.Method == http.MethodOptions || !c.hasLivePeers() {
 		inner.ServeHTTP(w, r)
 		return
 	}

@@ -18,103 +18,78 @@ import (
 	"querylearn/pkg/api"
 )
 
-// T17CodecRecovery measures what journal format v2 (internal/codec: binary
-// frames plus a per-file string intern table) buys over the v1 JSON wire
-// form on the two paths the ISSUE targets:
+// T17CodecRecovery measures the journal's binary format (internal/codec:
+// binary frames plus a per-file string intern table) on its two paths:
 //
 //   - recovery: a cold store.Open — journal decode plus the boot-time
-//     compaction rewrite — over identical synthetic corpora written in each
-//     format. The learner rebuild (Manager.Recover) is format-independent,
-//     so the claim is pinned on the store layer where the codec acts.
-//   - serving: allocations per POST /v1/sessions/{id}/answers, the PR 7
-//     baseline (JSON journal, allocate-per-response encoding) versus the v2
-//     hot path (binary journal, pooled response buffers), measured with
-//     testing.Benchmark so allocs/op and bytes/op are exact.
+//     compaction rewrite — over a synthetic corpus. The learner rebuild
+//     (Manager.Recover) is excluded, so the figure is the store layer's.
+//   - serving: allocations per POST /v1/sessions/{id}/answers through the
+//     full hot path (binary journal, pooled response buffers, item
+//     interning), measured with testing.Benchmark so allocs/op and
+//     bytes/op are exact.
+//
+// The comparison against the JSON record format and the unpooled,
+// uninterned serving stack is recorded in BENCH_PR8.json.
 func T17CodecRecovery(scale int) *Table {
 	t := &Table{
 		ID:     "T17",
 		Title:  "journal format v2: recovery throughput and answer-path allocations",
-		Claim:  "binary codec + interning recovers ≥5x faster than JSON; pooled v2 hot path allocates ≥2x less per POST answers",
+		Claim:  "binary-journal recovery rate and pooled, interned POST answers allocations (v1 comparison: BENCH_PR8.json)",
 		Header: []string{"phase", "arm", "sessions", "events", "journal KB", "elapsed ms", "rate"},
 	}
 	sessions := 1200 * scale
 	const answersPer = 10
 
-	var v1Rate float64
-	for _, format := range []string{store.FormatV1, store.FormatV2} {
-		dir, err := os.MkdirTemp("", "querylearn-t17-")
-		if err != nil {
-			t.Rows = append(t.Rows, []string{"recover", format, "ERROR", err.Error(), "", "", ""})
-			continue
-		}
-		events, journalBytes, err := t17Corpus(dir, format, sessions, answersPer)
-		if err == nil {
-			var recovered int
-			var elapsed time.Duration
-			recovered, elapsed, err = t17OpenBest(dir, format, 3)
-			if err == nil {
-				rate := float64(recovered) / elapsed.Seconds()
-				suffix := ""
-				if format == store.FormatV1 {
-					v1Rate = rate
-				} else if v1Rate > 0 {
-					suffix = fmt.Sprintf(" (%.1fx v1)", rate/v1Rate)
-				}
-				t.Rows = append(t.Rows, []string{
-					"recover", format, fmt.Sprint(recovered), fmt.Sprint(events),
-					fmt.Sprintf("%.0f", float64(journalBytes)/1024),
-					fmt.Sprintf("%.1f", elapsed.Seconds()*1000),
-					fmt.Sprintf("%.0f sessions/s%s", rate, suffix),
-				})
-			}
-		}
-		if err != nil {
-			t.Rows = append(t.Rows, []string{"recover", format, "ERROR", err.Error(), "", "", ""})
-		}
-		os.RemoveAll(dir)
+	if err := t17Recover(t, sessions, answersPer); err != nil {
+		t.Rows = append(t.Rows, []string{"recover", "v2", "ERROR", err.Error(), "", "", ""})
 	}
 
-	// The baseline arm reproduces PR 7: JSON journal, allocate-per-response
-	// encoding, no item interning or decode memo. The v2 arm is this PR's
-	// defaults.
-	arms := []struct {
-		label   string
-		format  string
-		hotPath bool
-	}{
-		{"v1 (PR7 baseline)", store.FormatV1, false},
-		{"v2+pooled+interned", store.FormatV2, true},
-	}
-	var base testing.BenchmarkResult
-	for i, arm := range arms {
-		res := testing.Benchmark(t17AnswerBench(arm.format, arm.hotPath))
-		t.Mem = append(t.Mem, MemStat{
-			Label:       "answers/" + arm.format,
-			N:           res.N,
-			NsPerOp:     float64(res.NsPerOp()),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-		suffix := ""
-		if i == 0 {
-			base = res
-		} else if res.AllocsPerOp() > 0 {
-			suffix = fmt.Sprintf(" (%.1fx fewer than v1)",
-				float64(base.AllocsPerOp())/float64(res.AllocsPerOp()))
-		}
-		t.Rows = append(t.Rows, []string{
-			"answers", arm.label, "1", fmt.Sprint(res.N), "",
-			fmt.Sprintf("%.4f", float64(res.NsPerOp())/1e6),
-			fmt.Sprintf("%d allocs/op, %d B/op%s", res.AllocsPerOp(), res.AllocedBytesPerOp(), suffix),
-		})
-	}
+	res := testing.Benchmark(t17AnswerBench)
+	t.Mem = append(t.Mem, MemStat{
+		Label:       "answers/v2",
+		N:           res.N,
+		NsPerOp:     float64(res.NsPerOp()),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+	})
+	t.Rows = append(t.Rows, []string{
+		"answers", "v2+pooled+interned", "1", fmt.Sprint(res.N), "",
+		fmt.Sprintf("%.4f", float64(res.NsPerOp())/1e6),
+		fmt.Sprintf("%d allocs/op, %d B/op", res.AllocsPerOp(), res.AllocedBytesPerOp()),
+	})
 
 	t.Notes = append(t.Notes,
-		"recover: fastest of 3 timed cold store.Opens (journal decode + boot compaction) over identical corpora; learner rebuild is format-independent and excluded",
+		"recover: fastest of 3 timed cold store.Opens (journal decode + boot compaction); learner rebuild excluded",
 		fmt.Sprintf("corpus: %d sessions x (1 create + %d four-answer batch events), join fixture, %d distinct items — the repetition interning exploits", sessions, answersPer, t17DistinctItems),
 		"answers: testing.Benchmark over the full in-process HTTP stack, one 8-label batch per op; allocs/op and bytes/op also land in the mem block of -json output",
 	)
 	return t
+}
+
+// t17Recover writes the corpus, times its best cold open and appends the
+// recover row.
+func t17Recover(t *Table, sessions, answersPer int) error {
+	dir, err := os.MkdirTemp("", "querylearn-t17-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	events, journalBytes, err := t17Corpus(dir, sessions, answersPer)
+	if err != nil {
+		return err
+	}
+	recovered, elapsed, err := t17OpenBest(dir, 3)
+	if err != nil {
+		return err
+	}
+	t.Rows = append(t.Rows, []string{
+		"recover", "v2", fmt.Sprint(recovered), fmt.Sprint(events),
+		fmt.Sprintf("%.0f", float64(journalBytes)/1024),
+		fmt.Sprintf("%.1f", elapsed.Seconds()*1000),
+		fmt.Sprintf("%.0f sessions/s", float64(recovered)/elapsed.Seconds()),
+	})
+	return nil
 }
 
 // t17DistinctItems bounds the synthetic answer vocabulary: every corpus
@@ -127,11 +102,10 @@ func t17Item(j int) json.RawMessage {
 }
 
 // t17Corpus writes a synthetic uncompacted journal — sessions x (create +
-// answer tail) — in the given format and abandons the store, as a crash
-// would. Events go straight to the store so corpus size is decoupled from
+// answer tail) — and abandons the store, as a crash would. Events go straight to the store so corpus size is decoupled from
 // learner speed; they are ApplyEvent-valid, which is all recovery decodes.
-func t17Corpus(dir, format string, sessions, answersPer int) (events, journalBytes int64, err error) {
-	st, _, err := store.Open(dir, store.Options{Fsync: store.FsyncOff, Format: format})
+func t17Corpus(dir string, sessions, answersPer int) (events, journalBytes int64, err error) {
+	st, _, err := store.Open(dir, store.Options{Fsync: store.FsyncOff})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -165,9 +139,9 @@ func t17Corpus(dir, format string, sessions, answersPer int) (events, journalByt
 }
 
 // t17Open times the cold open: replay plus boot compaction.
-func t17Open(dir, format string) (sessions int, elapsed time.Duration, err error) {
+func t17Open(dir string) (sessions int, elapsed time.Duration, err error) {
 	start := time.Now()
-	st, snaps, err := store.Open(dir, store.Options{Fsync: store.FsyncOff, Format: format})
+	st, snaps, err := store.Open(dir, store.Options{Fsync: store.FsyncOff})
 	elapsed = time.Since(start)
 	if err != nil {
 		return 0, 0, err
@@ -178,9 +152,9 @@ func t17Open(dir, format string) (sessions int, elapsed time.Duration, err error
 
 // t17OpenBest reports the fastest of reps cold opens. The first open
 // compacts the journal in place, so each rep runs against a fresh copy of
-// the corpus; a GC barrier before each keeps one arm's allocation debt from
-// being paid inside the other's timed region.
-func t17OpenBest(src, format string, reps int) (sessions int, best time.Duration, err error) {
+// the corpus; a GC barrier before each keeps the corpus writer's allocation
+// debt from being paid inside a timed region.
+func t17OpenBest(src string, reps int) (sessions int, best time.Duration, err error) {
 	for i := 0; i < reps; i++ {
 		dir, err := os.MkdirTemp("", "querylearn-t17rep-")
 		if err != nil {
@@ -191,7 +165,7 @@ func t17OpenBest(src, format string, reps int) (sessions int, best time.Duration
 			return 0, 0, err
 		}
 		runtime.GC()
-		n, elapsed, err := t17Open(dir, format)
+		n, elapsed, err := t17Open(dir)
 		os.RemoveAll(dir)
 		if err != nil {
 			return 0, 0, err
@@ -232,65 +206,56 @@ func (w *nullResponseWriter) Header() http.Header         { return w.hdr }
 func (w *nullResponseWriter) WriteHeader(code int)        { w.code = code }
 func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// t17AnswerBench builds the POST answers benchmark for one arm: a real
-// store in the given format behind a session manager behind the HTTP
-// handler, one 8-label batch per operation. hotPath false turns off this
-// PR's serving optimizations (pooled response buffers, interning + decode
-// memo) alongside the v1 format, reproducing the PR 7 stack.
-func t17AnswerBench(format string, hotPath bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		dir, err := os.MkdirTemp("", "querylearn-t17b-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		st, _, err := store.Open(dir, store.Options{Fsync: store.FsyncOff, Format: format})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		mgr := session.NewManager(session.Config{Shards: 16, Journal: st, DisableInterning: !hotPath})
-		var opts []server.Option
-		if !hotPath {
-			opts = append(opts, server.WithPooledEncoding(false))
-		}
-		h := server.New(mgr, opts...).Handler()
-		s, err := mgr.Create("join", svcJoinTask, session.CreateOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		q, ok, err := s.Question()
-		if err != nil || !ok {
-			b.Fatalf("no first question: ok=%v err=%v", ok, err)
-		}
-		// Eight copies of one truthful label: consistent on every repeat, and
-		// big enough that per-item encode cost shows over fixed overhead.
-		batch := make([]api.Answer, 8)
-		for i := range batch {
-			batch[i] = api.Answer{Item: q.Item, Positive: t12Oracle(q.Item)}
-		}
-		body, err := json.Marshal(api.AnswersRequest{Answers: batch})
-		if err != nil {
-			b.Fatal(err)
-		}
-		url := "/v1/sessions/" + s.ID() + "/answers"
-		req, err := http.NewRequest("POST", url, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		w := &nullResponseWriter{hdr: make(http.Header)}
-
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req.Body = io.NopCloser(bytes.NewReader(body))
-			w.code = 0
-			h.ServeHTTP(w, req)
-			if w.code != http.StatusOK {
-				b.Fatalf("POST answers = %d", w.code)
-			}
-		}
-		b.StopTimer()
+// t17AnswerBench is the POST answers benchmark: a real store behind a
+// session manager behind the HTTP handler, one 8-label batch per operation.
+func t17AnswerBench(b *testing.B) {
+	b.ReportAllocs()
+	dir, err := os.MkdirTemp("", "querylearn-t17b-")
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	st, _, err := store.Open(dir, store.Options{Fsync: store.FsyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	mgr := session.NewManager(session.Config{Shards: 16, Journal: st})
+	h := server.New(mgr).Handler()
+	s, err := mgr.Create("join", svcJoinTask, session.CreateOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, ok, err := s.Question()
+	if err != nil || !ok {
+		b.Fatalf("no first question: ok=%v err=%v", ok, err)
+	}
+	// Eight copies of one truthful label: consistent on every repeat, and
+	// big enough that per-item encode cost shows over fixed overhead.
+	batch := make([]api.Answer, 8)
+	for i := range batch {
+		batch[i] = api.Answer{Item: q.Item, Positive: t12Oracle(q.Item)}
+	}
+	body, err := json.Marshal(api.AnswersRequest{Answers: batch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	url := "/v1/sessions/" + s.ID() + "/answers"
+	req, err := http.NewRequest("POST", url, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	w := &nullResponseWriter{hdr: make(http.Header)}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		w.code = 0
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("POST answers = %d", w.code)
+		}
+	}
+	b.StopTimer()
 }

@@ -1,9 +1,10 @@
 // Package experiments regenerates the paper's quantitative claims as
 // tables. The paper (a PhD symposium proposal) has no numbered result
-// tables; DESIGN.md extracts eleven checkable claims (T1–T10, F1) and this
-// package implements one experiment per claim. cmd/benchrunner prints the
-// tables; bench_test.go measures the hot paths; EXPERIMENTS.md records
-// claim-vs-measured.
+// tables; this package extracts eleven checkable claims (T1–T10, F1), plus
+// the serving-stack experiments added since, and implements one experiment
+// per claim (the registry in this file is the index). cmd/benchrunner prints
+// the tables; bench_test.go measures the hot paths; the BENCH_PR*.json files
+// record claim-vs-measured run by run.
 package experiments
 
 import (

@@ -27,8 +27,8 @@ import (
 
 // Point names one injection point. Packages declare their points as
 // constants (e.g. store.append, store.compact.rename) and register them so
-// the chaos suite can enumerate every edge and /metrics can report zeroes
-// for the quiet ones.
+// the chaos suite can enumerate every edge and report zeroes for the quiet
+// ones.
 type Point string
 
 // Modes for Spec.Mode.
@@ -133,8 +133,8 @@ type armed struct {
 	rng      *rand.Rand
 }
 
-// Stats is one point's counter snapshot for /metrics: how often the point
-// was crossed and how many faults it injected.
+// Stats is one point's counter snapshot: how often the point was crossed
+// and how many faults it injected.
 type Stats struct {
 	Hits     int64 `json:"hits"`
 	Injected int64 `json:"injected"`
@@ -328,8 +328,7 @@ func (r *Registry) Points() []Point {
 	return out
 }
 
-// Counts snapshots every registered point's hit and injection counters —
-// the faults_injected block of /metrics.
+// Counts snapshots every registered point's hit and injection counters.
 func (r *Registry) Counts() map[string]Stats {
 	if r == nil {
 		return nil

@@ -11,17 +11,11 @@
 package graph
 
 import (
-	"os"
 	"sort"
 
 	"querylearn/internal/bitset"
 	"querylearn/internal/plan"
 )
-
-// UseNaive routes Eval, EvalFrom, Selects, and ShortestWord through the
-// original map-backed implementations. It exists as a differential-testing
-// oracle and an escape hatch; set QUERYLEARN_NAIVE=1 to flip it at startup.
-var UseNaive = os.Getenv("QUERYLEARN_NAIVE") != ""
 
 // csr is a compact adjacency for one edge label: row v's targets are
 // to[start[v]:start[v+1]], sorted ascending.
@@ -263,9 +257,6 @@ func (ev *evaluator) run(src int) *bitset.Set {
 // EvalFrom returns the node indices reachable from src by a path whose
 // label word is in L(q), sorted ascending.
 func (g *Graph) EvalFrom(q PathQuery, src int) []int {
-	if UseNaive {
-		return g.EvalFromNaive(q, src)
-	}
 	return newEvaluator(g, q).run(src).Slice()
 }
 
@@ -276,9 +267,6 @@ func (g *Graph) EvalFrom(q PathQuery, src int) []int {
 // EvalStream (see plan.go), which delivers the same pairs in the same order
 // to a sink with early termination.
 func (g *Graph) Eval(q PathQuery) []Pair {
-	if UseNaive {
-		return g.EvalNaive(q)
-	}
 	var out []Pair
 	g.EvalStream(q, func(p Pair) bool {
 		out = append(out, p)
@@ -405,9 +393,6 @@ func (ev *pairEvaluator) selects(dst int) bool {
 // stays cheap on graphs far beyond the all-pairs regime. Pair node indexes
 // must be valid.
 func (g *Graph) EvalPairs(q PathQuery, pairs []Pair) []bool {
-	if UseNaive {
-		return g.EvalPairsNaive(q, pairs)
-	}
 	out := make([]bool, len(pairs))
 	g.EvalPairsStream(q, pairs, nil, func(v PairVerdict) bool {
 		out[v.Index] = v.Selected
@@ -458,14 +443,6 @@ func (g *Graph) EvalPairsNaive(q PathQuery, pairs []Pair) []bool {
 // instead of the dense evaluator's whole-graph backward precomputation;
 // with planning disabled the dense PR 1 behaviour is retained.
 func (g *Graph) Selects(q PathQuery, src, dst int) bool {
-	if UseNaive {
-		for _, d := range g.EvalFromNaive(q, src) {
-			if d == dst {
-				return true
-			}
-		}
-		return false
-	}
 	if plan.Disabled() {
 		return newEvaluator(g, q).run(src).Has(dst)
 	}
@@ -484,9 +461,6 @@ func (g *Graph) Selects(q PathQuery, src, dst int) bool {
 // (ties broken by lexicographic label order), or nil when dst is
 // unreachable. It is the witness the path-query learner generalizes.
 func (g *Graph) ShortestWord(src, dst int) []string {
-	if UseNaive {
-		return g.shortestWordNaive(src, dst)
-	}
 	if src == dst {
 		return []string{}
 	}

@@ -237,7 +237,7 @@ type Pair struct{ Src, Dst int }
 
 // EvalFromNaive is the original map-backed product-BFS evaluator, retained
 // as the differential-testing oracle for the CSR/bitset fast path in
-// eval.go (and selectable globally via UseNaive).
+// eval.go.
 func (g *Graph) EvalFromNaive(q PathQuery, src int) []int {
 	n := len(q.Atoms)
 	type cfg struct{ node, state int }

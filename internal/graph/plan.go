@@ -130,14 +130,6 @@ func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, s
 	if len(pairs) == 0 || len(g.nodes) == 0 {
 		return
 	}
-	if UseNaive {
-		for i, v := range g.EvalPairsNaive(q, pairs) {
-			if !sink(PairVerdict{Index: i, Selected: v}) {
-				return
-			}
-		}
-		return
-	}
 	proto := newPairEvaluator(g, q)
 	tasks := planPairTasks(proto, pairs, rec)
 	runPairTasks(proto, pairs, tasks, sink)
@@ -289,14 +281,6 @@ func runPairTasks(proto *pairEvaluator, pairs []Pair, tasks []pairTask, sink pla
 // stream. Sources still run in parallel; a reorder window holds finished
 // sources until their turn so emission order stays deterministic.
 func (g *Graph) EvalStream(q PathQuery, sink plan.Sink[Pair]) {
-	if UseNaive {
-		for _, p := range g.EvalNaive(q) {
-			if !sink(p) {
-				return
-			}
-		}
-		return
-	}
 	if len(g.nodes) == 0 {
 		return
 	}
@@ -373,15 +357,6 @@ func (g *Graph) EvalStream(q PathQuery, sink plan.Sink[Pair]) {
 // each run picks forward or backward BFS from the pair's degree estimates.
 func (g *Graph) SelectsManyStream(qs []PathQuery, src, dst int, sink plan.Sink[PairVerdict]) {
 	if len(qs) == 0 || len(g.nodes) == 0 {
-		return
-	}
-	if UseNaive {
-		one := []Pair{{Src: src, Dst: dst}}
-		for i, q := range qs {
-			if !sink(PairVerdict{Index: i, Selected: g.EvalPairsNaive(q, one)[0]}) {
-				return
-			}
-		}
 		return
 	}
 	maxK := 0

@@ -3,17 +3,10 @@ package rellearn
 import (
 	"fmt"
 	"math/bits"
-	"os"
 	"sort"
 
 	"querylearn/internal/plan"
 )
-
-// UseNaive routes Agree and SemijoinConsistent through the original
-// string-comparing, fmt-keyed implementations. It exists as a
-// differential-testing oracle and an escape hatch; set QUERYLEARN_NAIVE=1
-// to flip it at startup.
-var UseNaive = os.Getenv("QUERYLEARN_NAIVE") != ""
 
 // Consistency checking for join and semijoin examples — the complexity
 // contrast at the heart of §3: "we have proved the tractability of some
@@ -85,11 +78,9 @@ type SemijoinStats struct {
 // order — and short-circuits the instant the survivor set collapses to a
 // state every remaining family accepts for free. QUERYLEARN_NOPLAN
 // (plan.Disabled) reverts to the static PR 5 ordering.
-// SemijoinConsistentNaive is the retained original; UseNaive reroutes.
+// SemijoinConsistentNaive is the retained original, the differential
+// tests' oracle.
 func SemijoinConsistent(u *Universe, examples []SemijoinExample, maxNodes int) (PairSet, bool, SemijoinStats, error) {
-	if UseNaive {
-		return SemijoinConsistentNaive(u, examples, maxNodes)
-	}
 	if maxNodes == 0 {
 		maxNodes = 1 << 20
 	}

@@ -120,29 +120,6 @@ func TestDifferentialSemijoinConsistentVsNaive(t *testing.T) {
 	}
 }
 
-func TestDifferentialJoinConsistentUnderFlag(t *testing.T) {
-	defer func() { UseNaive = false }()
-	for seed := int64(0); seed < 15; seed++ {
-		rng := rand.New(rand.NewSource(seed * 7))
-		u := randomUniverse(rng, 1+rng.Intn(6), 1+rng.Intn(6), 3+rng.Intn(12), 3+rng.Intn(12), 3)
-		var exs []JoinExample
-		for i := 0; i < 10; i++ {
-			exs = append(exs, JoinExample{
-				Left:     rng.Intn(u.Left.Len()),
-				Right:    rng.Intn(u.Right.Len()),
-				Positive: rng.Intn(2) == 0,
-			})
-		}
-		UseNaive = false
-		fp, fok := JoinConsistent(u, exs)
-		UseNaive = true
-		np, nok := JoinConsistent(u, exs)
-		if fok != nok || (fok && !fp.Equal(np)) {
-			t.Fatalf("seed %d: JoinConsistent fast (%v,%v) != naive (%v,%v)", seed, fp, fok, np, nok)
-		}
-	}
-}
-
 // Concurrent Agree calls on a shared universe must be safe: the lazy
 // intern and row cache are mutex-guarded (run under -race).
 func TestConcurrentAgreeOnSharedUniverse(t *testing.T) {
@@ -167,31 +144,5 @@ func TestConcurrentAgreeOnSharedUniverse(t *testing.T) {
 		if !<-done {
 			t.Fatal("concurrent Agree returned wrong set")
 		}
-	}
-}
-
-func TestSemijoinUseNaiveFlagRoutes(t *testing.T) {
-	defer func() { UseNaive = false }()
-	rng := rand.New(rand.NewSource(5))
-	u := randomUniverse(rng, 4, 4, 8, 8, 3)
-	var exs []SemijoinExample
-	for i := 0; i < u.Left.Len(); i++ {
-		exs = append(exs, SemijoinExample{Left: i, Positive: rng.Intn(2) == 0})
-	}
-	// The unflagged, plan-disabled run is the naive search bit for bit.
-	prev := plan.SetDisabled(true)
-	defer plan.SetDisabled(prev)
-	UseNaive = true
-	p1, ok1, st1, _ := SemijoinConsistent(u, exs, 0)
-	UseNaive = false
-	p2, ok2, st2, _ := SemijoinConsistent(u, exs, 0)
-	if ok1 != ok2 || st1 != st2 || (ok1 && !p1.Equal(p2)) {
-		t.Fatalf("flagged run disagrees: (%v,%v,%+v) vs (%v,%v,%+v)", p1, ok1, st1, p2, ok2, st2)
-	}
-	// The planned run must reach the same decision with a verified witness.
-	plan.SetDisabled(false)
-	p3, ok3, _, _ := SemijoinConsistent(u, exs, 0)
-	if ok3 != ok1 || (ok3 && !semijoinWitnesses(u, exs, p3)) {
-		t.Fatalf("planned run disagrees: (%v,%v) vs naive (%v,%v)", p3, ok3, p1, ok1)
 	}
 }

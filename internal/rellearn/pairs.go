@@ -216,12 +216,9 @@ func (u *Universe) Encode(pairs []relational.AttrPair) (PairSet, error) {
 // Agree returns the agreement set of a tuple pair: the pairs of attributes
 // on which the two tuples carry equal values. A predicate P selects the
 // pair exactly when P ⊆ Agree. Computed over interned value ids and
-// memoized per tuple pair (treat the result as read-only); UseNaive
-// reverts to the original string-comparing implementation.
+// memoized per tuple pair (treat the result as read-only); agreeNaive is
+// the original string-comparing implementation, kept as the test oracle.
 func (u *Universe) Agree(li, ri int) PairSet {
-	if UseNaive {
-		return u.agreeNaive(li, ri)
-	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.intern()

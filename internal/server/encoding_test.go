@@ -11,14 +11,11 @@ import (
 )
 
 // TestPooledEncodingByteIdentical pins the pooled writer's contract: its
-// output is byte-for-byte what the allocate-per-response path produced
-// (MarshalIndent two-space + trailing newline), including HTML-escaping and
-// headers, so enabling the pool is invisible on the wire.
+// output is byte-for-byte json.MarshalIndent (two-space indent) plus a
+// trailing newline — what an idempotent replay writes — including
+// HTML-escaping, under a JSON Content-Type.
 func TestPooledEncodingByteIdentical(t *testing.T) {
-	mgr := session.NewManager(session.Config{})
-	pooled := New(mgr)
-	baseline := New(mgr, WithPooledEncoding(false))
-
+	s := New(session.NewManager(session.Config{}))
 	values := []any{
 		api.CreateResponse{ID: "s1", Model: "join"},
 		api.QuestionsResponse{Done: false, Questions: []session.Question{
@@ -28,14 +25,15 @@ func TestPooledEncodingByteIdentical(t *testing.T) {
 		map[string]any{"nested": map[string]any{"html": "<b>&</b>", "n": 1.5}},
 	}
 	for i, v := range values {
-		rp, rb := httptest.NewRecorder(), httptest.NewRecorder()
-		pooled.writeJSON(rp, 200, v)
-		baseline.writeJSON(rb, 200, v)
-		if got, want := rp.Body.String(), rb.Body.String(); got != want {
-			t.Errorf("value %d diverged:\npooled   %q\nbaseline %q", i, got, want)
+		rec := httptest.NewRecorder()
+		s.writeJSON(rec, 200, v)
+		b, err := json.MarshalIndent(v, "", "  ")
+		must(t, err)
+		if got, want := rec.Body.String(), string(b)+"\n"; got != want {
+			t.Errorf("value %d diverged:\npooled  %q\nmarshal %q", i, got, want)
 		}
-		if got, want := rp.Header().Get("Content-Type"), rb.Header().Get("Content-Type"); got != want {
-			t.Errorf("value %d content-type: pooled %q baseline %q", i, got, want)
+		if got := rec.Header().Get("Content-Type"); got != "application/json" {
+			t.Errorf("value %d content-type %q", i, got)
 		}
 	}
 }

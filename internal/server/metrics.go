@@ -2,15 +2,15 @@ package server
 
 import (
 	"runtime"
-	"sync/atomic"
 
+	"querylearn/internal/fault"
 	"querylearn/internal/obs"
 	"querylearn/internal/plan"
+	"querylearn/internal/session"
+	"querylearn/internal/store"
 )
 
 // endpointNames enumerates the instrumented endpoints in display order.
-// A v1 route and its deprecated legacy alias share one entry; the global
-// deprecated counter separates the dialects.
 var endpointNames = []string{
 	"create", "resume", "list", "status", "question", "questions", "answers",
 	"query", "snapshot", "delete", "metrics", "healthz",
@@ -20,21 +20,15 @@ var endpointNames = []string{
 // path bumps counters without any family lookup.
 type endpointStats struct {
 	requests *obs.Counter
-	// errors is the per-endpoint total for the legacy JSON shape; the
-	// Prometheus side splits the same failures by api error code.
-	errors atomic.Int64
-	shed   *obs.Counter
+	shed     *obs.Counter
 }
 
 // metrics is the server's observability surface: per-endpoint counters and
 // latency histograms in an obs.Registry (shared with the store when the
-// daemon wires one), exposed as both the legacy JSON document and the
-// Prometheus text format.
+// daemon wires one), exposed in the Prometheus text format.
 type metrics struct {
 	reg       *obs.Registry
 	endpoints map[string]*endpointStats
-	// deprecated counts requests served by pre-v1 legacy aliases.
-	deprecated *obs.Counter
 	// errorsVec splits error responses by endpoint and stable api error code.
 	errorsVec *obs.CounterVec
 	// latency is the per-endpoint, per-HTTP-status request histogram.
@@ -51,8 +45,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{
 		reg:       reg,
 		endpoints: make(map[string]*endpointStats, len(endpointNames)),
-		deprecated: reg.Counter("querylearn_http_deprecated_requests_total",
-			"requests served by pre-v1 legacy alias routes"),
 		errorsVec: reg.CounterVec("querylearn_http_errors_total",
 			"error responses by endpoint and stable api error code", "endpoint", "code"),
 		latency: reg.HistogramVec("querylearn_http_request_seconds",
@@ -61,7 +53,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"per-request phase durations from the span trace", "phase"),
 	}
 	requests := reg.CounterVec("querylearn_http_requests_total",
-		"requests routed, by endpoint (v1 and legacy alias combined)", "endpoint")
+		"requests routed, by endpoint", "endpoint")
 	shed := reg.CounterVec("querylearn_http_shed_total",
 		"requests shed by admission control (429), by endpoint", "endpoint")
 	for _, n := range endpointNames {
@@ -88,106 +80,50 @@ func (m *metrics) registerRuntimeGauges() {
 		})
 }
 
-// EndpointMetrics is one endpoint's counter snapshot (the PR 6 JSON shape).
-type EndpointMetrics struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
+// statsGauge is one scrape-time view of a subsystem's stats snapshot.
+type statsGauge[T any] struct {
+	name, help string
+	value      func(T) float64
 }
 
-func (m *metrics) snapshot() map[string]EndpointMetrics {
-	out := make(map[string]EndpointMetrics, len(m.endpoints))
-	for name, s := range m.endpoints {
-		out[name] = EndpointMetrics{Requests: s.requests.Value(), Errors: s.errors.Load()}
+// sessionGauges expose the session manager's lifecycle and dialogue counters.
+var sessionGauges = []statsGauge[session.Stats]{
+	{"querylearn_sessions_live", "live learning sessions", func(s session.Stats) float64 { return float64(s.Live) }},
+	{"querylearn_sessions_created", "sessions created since start", func(s session.Stats) float64 { return float64(s.Created) }},
+	{"querylearn_sessions_resumed", "sessions resumed from snapshots since start", func(s session.Stats) float64 { return float64(s.Resumed) }},
+	{"querylearn_sessions_recovered", "sessions recovered from the journal at boot", func(s session.Stats) float64 { return float64(s.Recovered) }},
+	{"querylearn_sessions_deleted", "sessions deleted since start", func(s session.Stats) float64 { return float64(s.Deleted) }},
+	{"querylearn_sessions_expired", "sessions evicted by the TTL sweeper since start", func(s session.Stats) float64 { return float64(s.Expired) }},
+	{"querylearn_session_labels", "answer labels recorded since start", func(s session.Stats) float64 { return float64(s.Labels) }},
+	{"querylearn_session_questions", "questions proposed since start", func(s session.Stats) float64 { return float64(s.Questions) }},
+	{"querylearn_session_journal_heals", "degraded-journal recoveries by the probe", func(s session.Stats) float64 { return float64(s.JournalHeals) }},
+	{"querylearn_session_intern_items", "distinct answer items in the shared vocabulary", func(s session.Stats) float64 { return float64(s.InternItems) }},
+	{"querylearn_session_intern_bytes", "bytes retained by the shared answer vocabulary", func(s session.Stats) float64 { return float64(s.InternBytes) }},
+}
+
+// storeGauges expose the journal's append, durability and recovery counters.
+var storeGauges = []statsGauge[store.Stats]{
+	{"querylearn_store_events_appended", "journal events appended since open", func(s store.Stats) float64 { return float64(s.Appended) }},
+	{"querylearn_store_events_durable", "journal events known durable since open", func(s store.Stats) float64 { return float64(s.Durable) }},
+	{"querylearn_store_fsyncs", "journal fsyncs since open", func(s store.Stats) float64 { return float64(s.Fsyncs) }},
+	{"querylearn_store_recovered_sessions", "sessions the journal held at open", func(s store.Stats) float64 { return float64(s.Recovered.Sessions) }},
+}
+
+// registerStatsGauges binds scrape-time gauges over the manager, store and
+// fault-registry snapshots, so the exposition carries every value those
+// subsystems already track without a counter on any request path. A nil
+// storeStats or faults skips its families.
+func (m *metrics) registerStatsGauges(mgr *session.Manager, storeStats func() store.Stats, faults *fault.Registry) {
+	for _, g := range sessionGauges {
+		m.reg.GaugeFunc(g.name, g.help, func() float64 { return g.value(mgr.Stats()) })
 	}
-	return out
-}
-
-// LatencySummary is the JSON rendering of one latency histogram: the
-// quantiles the tail-latency story runs on, rounded to microseconds.
-type LatencySummary struct {
-	Count       int64   `json:"count"`
-	MeanSeconds float64 `json:"mean_seconds"`
-	P50Seconds  float64 `json:"p50_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
-	P999Seconds float64 `json:"p999_seconds"`
-	MaxSeconds  float64 `json:"max_seconds"`
-}
-
-// summarize renders a histogram snapshot for JSON.
-func summarize(s obs.HistogramSnapshot) LatencySummary {
-	return LatencySummary{
-		Count:       int64(s.Count),
-		MeanSeconds: obs.Round6(s.Mean()),
-		P50Seconds:  obs.Round6(s.Quantile(0.50)),
-		P99Seconds:  obs.Round6(s.Quantile(0.99)),
-		P999Seconds: obs.Round6(s.Quantile(0.999)),
-		MaxSeconds:  obs.Round6(s.MaxSeconds),
-	}
-}
-
-// latencyByEndpoint collapses the {endpoint, status} histogram series into
-// one summary per endpoint for the JSON document.
-func (m *metrics) latencyByEndpoint() map[string]LatencySummary {
-	merged := map[string]obs.HistogramSnapshot{}
-	m.latency.Each(func(labels []string, snap obs.HistogramSnapshot) {
-		acc := merged[labels[0]]
-		acc.Merge(snap)
-		merged[labels[0]] = acc
-	})
-	out := make(map[string]LatencySummary, len(merged))
-	for ep, snap := range merged {
-		if snap.Count > 0 {
-			out[ep] = summarize(snap)
+	if storeStats != nil {
+		for _, g := range storeGauges {
+			m.reg.GaugeFunc(g.name, g.help, func() float64 { return g.value(storeStats()) })
 		}
 	}
-	return out
-}
-
-// phaseSummaries renders the phase histograms for the JSON document.
-func (m *metrics) phaseSummaries() map[string]LatencySummary {
-	out := map[string]LatencySummary{}
-	m.phases.Each(func(labels []string, snap obs.HistogramSnapshot) {
-		if snap.Count > 0 {
-			out[labels[0]] = summarize(snap)
-		}
-	})
-	return out
-}
-
-// errorsByCode renders the {endpoint, code} error counters as nested maps,
-// omitting endpoints with no errors.
-func (m *metrics) errorsByCode() map[string]map[string]int64 {
-	out := map[string]map[string]int64{}
-	m.errorsVec.Each(func(labels []string, value int64) {
-		if value == 0 {
-			return
-		}
-		ep := out[labels[0]]
-		if ep == nil {
-			ep = map[string]int64{}
-			out[labels[0]] = ep
-		}
-		ep[labels[1]] = value
-	})
-	return out
-}
-
-// shedByEndpoint renders the per-endpoint shed counters, omitting zeros.
-func (m *metrics) shedByEndpoint() map[string]int64 {
-	out := map[string]int64{}
-	for name, s := range m.endpoints {
-		if v := s.shed.Value(); v > 0 {
-			out[name] = v
-		}
+	if faults != nil {
+		m.reg.GaugeFunc("querylearn_faults_injected", "faults injected across all points since start",
+			func() float64 { return float64(faults.Injected()) })
 	}
-	return out
-}
-
-// shedTotal sums the per-endpoint sheds — the legacy admission.shed field.
-func (m *metrics) shedTotal() int64 {
-	var total int64
-	for _, s := range m.endpoints {
-		total += s.shed.Value()
-	}
-	return total
 }

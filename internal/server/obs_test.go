@@ -40,14 +40,14 @@ func driveTraffic(t *testing.T, c *client) {
 		Done     bool              `json:"done"`
 		Question *session.Question `json:"question"`
 	}
-	c.do("GET", "/sessions/"+id+"/question", nil, http.StatusOK, &qr)
+	c.do("GET", "/v1/sessions/"+id+"/question", nil, http.StatusOK, &qr)
 	if !qr.Done {
-		c.do("POST", "/sessions/"+id+"/answers", map[string]any{
+		c.do("POST", "/v1/sessions/"+id+"/answers", map[string]any{
 			"answers": []map[string]any{{"item": qr.Question.Item, "positive": true}},
 		}, http.StatusOK, nil)
 	}
-	c.do("POST", "/sessions", map[string]any{"model": "nope", "task": "x"}, http.StatusBadRequest, nil)
-	c.do("GET", "/sessions/missing", nil, http.StatusNotFound, nil)
+	c.do("POST", "/v1/sessions", map[string]any{"model": "nope", "task": "x"}, http.StatusBadRequest, nil)
+	c.do("GET", "/v1/sessions/missing", nil, http.StatusNotFound, nil)
 }
 
 // drivePlanTraffic runs one path-model dialogue turn: building the pool
@@ -62,9 +62,9 @@ func drivePlanTraffic(t *testing.T, c *client) {
 		Done     bool              `json:"done"`
 		Question *session.Question `json:"question"`
 	}
-	c.do("GET", "/sessions/"+id+"/question", nil, http.StatusOK, &qr)
+	c.do("GET", "/v1/sessions/"+id+"/question", nil, http.StatusOK, &qr)
 	if !qr.Done {
-		c.do("POST", "/sessions/"+id+"/answers", map[string]any{
+		c.do("POST", "/v1/sessions/"+id+"/answers", map[string]any{
 			"answers": []map[string]any{{"item": qr.Question.Item, "positive": oracle(qr.Question.Item)}},
 		}, http.StatusOK, nil)
 	}
@@ -78,13 +78,7 @@ func TestPrometheusPlanExposition(t *testing.T) {
 	c, _ := newObsServer(t)
 	drivePlanTraffic(t, c)
 
-	resp, err := c.http.Get(c.base + "/metrics?format=prometheus")
-	must(t, err)
-	defer resp.Body.Close()
-	exp, err := obs.ParseExposition(resp.Body)
-	if err != nil {
-		t.Fatalf("exposition does not lint: %v", err)
-	}
+	exp := c.scrape("")
 
 	if exp.Types["querylearn_plan_decisions_total"] != "counter" {
 		t.Error("querylearn_plan_decisions_total missing or not a counter")
@@ -119,19 +113,7 @@ func TestPrometheusExposition(t *testing.T) {
 	c, _ := newObsServer(t)
 	driveTraffic(t, c)
 
-	resp, err := c.http.Get(c.base + "/metrics?format=prometheus")
-	must(t, err)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prometheus scrape: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
-		t.Errorf("content type %q, want %q", ct, obs.PrometheusContentType)
-	}
-	exp, err := obs.ParseExposition(resp.Body)
-	if err != nil {
-		t.Fatalf("exposition does not lint: %v", err)
-	}
+	exp := c.scrape("?format=prometheus")
 
 	// Per-endpoint request histograms.
 	if exp.Types["querylearn_http_request_seconds"] != "histogram" {
@@ -164,6 +146,31 @@ func TestPrometheusExposition(t *testing.T) {
 	if v, ok := exp.Value("querylearn_sessions_live"); !ok || v != 1 {
 		t.Errorf("sessions_live = %v (present=%v), want 1", v, ok)
 	}
+	// Scrape-time gauges over the manager and store stats snapshots: every
+	// family is present and typed gauge, and the traffic above moved them.
+	for name, min := range map[string]float64{
+		"querylearn_sessions_created":         1,
+		"querylearn_sessions_resumed":         0,
+		"querylearn_sessions_recovered":       0,
+		"querylearn_sessions_deleted":         0,
+		"querylearn_sessions_expired":         0,
+		"querylearn_session_labels":           1,
+		"querylearn_session_questions":        1,
+		"querylearn_session_journal_heals":    0,
+		"querylearn_session_intern_items":     1,
+		"querylearn_session_intern_bytes":     1,
+		"querylearn_store_events_appended":    2,
+		"querylearn_store_events_durable":     2,
+		"querylearn_store_fsyncs":             1,
+		"querylearn_store_recovered_sessions": 0,
+	} {
+		if exp.Types[name] != "gauge" {
+			t.Errorf("%s missing or not a gauge", name)
+		}
+		if v, ok := exp.Value(name); !ok || v < min {
+			t.Errorf("%s = %v (present=%v), want >= %v", name, v, ok, min)
+		}
+	}
 	// Phase histograms recorded via the request trace, down to the store.
 	for _, phase := range []string{"admission.wait", "session.lock", "journal.append", "fsync.wait"} {
 		if v, ok := exp.Value(obs.SeriesKey("querylearn_phase_seconds_count",
@@ -171,59 +178,39 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Errorf("phase %s count = %v (present=%v), want >= 1", phase, v, ok)
 		}
 	}
-
-	// An unknown format is a clean 400, not silent JSON.
-	c.do("GET", "/metrics?format=xml", nil, http.StatusBadRequest, nil)
 }
 
-// TestMetricsJSONCompat pins the PR 6 JSON shape: stripping the keys this PR
-// added must leave a document that strict-decodes into the old layout.
-func TestMetricsJSONCompat(t *testing.T) {
+// TestMetricsIgnoresFormat: /metrics has one surface. With or without a
+// format parameter — including the ?format=prometheus existing scrapers send
+// — it answers the same linting exposition.
+func TestMetricsIgnoresFormat(t *testing.T) {
 	c, _ := newObsServer(t)
 	driveTraffic(t, c)
-
-	var doc map[string]json.RawMessage
-	c.do("GET", "/metrics", nil, http.StatusOK, &doc)
-
-	newKeys := map[string]bool{
-		"latency": true, "phases": true, "errors_by_code": true, "shed_by_endpoint": true,
-	}
-	oldKeys := map[string]bool{
-		"sessions": true, "deprecated_requests": true, "endpoints": true,
-		"store": true, "admission": true, "faults": true,
-	}
-	for k := range doc {
-		if !newKeys[k] && !oldKeys[k] {
-			t.Errorf("unexpected /metrics key %q — neither PR 6 shape nor a documented addition", k)
+	for _, q := range []string{"", "?format=prometheus", "?format=json"} {
+		exp := c.scrape(q)
+		if v, ok := exp.Value("querylearn_sessions_live"); !ok || v != 1 {
+			t.Errorf("/metrics%s: sessions_live = %v (present=%v), want 1", q, v, ok)
 		}
 	}
-	for k := range newKeys {
-		delete(doc, k)
-	}
-	stripped, err := json.Marshal(doc)
-	must(t, err)
+}
 
-	// The PR 6 layout, field for field.
-	type pr6 struct {
-		Sessions           session.Stats              `json:"sessions"`
-		DeprecatedRequests int64                      `json:"deprecated_requests"`
-		Endpoints          map[string]EndpointMetrics `json:"endpoints"`
-		Store              *store.Stats               `json:"store,omitempty"`
-		Admission          *admissionMetrics          `json:"admission,omitempty"`
-		Faults             *faultMetrics              `json:"faults,omitempty"`
+// scrape GETs /metrics with the given query string and lints the exposition.
+func (c *client) scrape(query string) *obs.Exposition {
+	c.t.Helper()
+	resp, err := c.http.Get(c.base + "/metrics" + query)
+	must(c.t, err)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		c.t.Fatalf("/metrics%s: HTTP %d", query, resp.StatusCode)
 	}
-	dec := json.NewDecoder(bytes.NewReader(stripped))
-	dec.DisallowUnknownFields()
-	var legacy pr6
-	if err := dec.Decode(&legacy); err != nil {
-		t.Fatalf("stripped /metrics no longer decodes as the PR 6 shape: %v", err)
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
+		c.t.Errorf("/metrics%s: content type %q, want %q", query, ct, obs.PrometheusContentType)
 	}
-	if legacy.Sessions.Live != 1 || legacy.Endpoints["create"].Requests < 1 {
-		t.Errorf("legacy fields lost their meaning: %+v", legacy)
+	exp, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		c.t.Fatalf("/metrics%s: exposition does not lint: %v", query, err)
 	}
-	if legacy.Store == nil || legacy.Store.Fsync != store.FsyncAlways {
-		t.Errorf("store block missing or wrong: %+v", legacy.Store)
-	}
+	return exp
 }
 
 func TestRequestID(t *testing.T) {
@@ -276,7 +263,7 @@ func TestSlowRequestLog(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 	id := c.create("twig", twigTask)
-	c.do("GET", "/sessions/"+id+"/question", nil, http.StatusOK, nil)
+	c.do("GET", "/v1/sessions/"+id+"/question", nil, http.StatusOK, nil)
 
 	if buf.Len() == 0 {
 		t.Fatal("no slow-request log emitted at threshold 0")
@@ -341,7 +328,7 @@ func TestSlowRequestLogPlanPhase(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 	id := c.create("path", pathTask)
-	c.do("GET", "/sessions/"+id+"/question", nil, http.StatusOK, nil)
+	c.do("GET", "/v1/sessions/"+id+"/question", nil, http.StatusOK, nil)
 
 	type logLine struct {
 		Endpoint string `json:"endpoint"`

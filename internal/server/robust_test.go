@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"querylearn/internal/fault"
+	"querylearn/internal/obs"
 	"querylearn/internal/session"
 	"querylearn/internal/store"
 	"querylearn/pkg/api"
@@ -73,13 +74,13 @@ func TestAdmissionShedsWith429(t *testing.T) {
 
 	// /metrics and /healthz bypass admission — they must answer even while
 	// the budget is spent — and report the shed.
-	var met metricsResponse
-	c.do("GET", "/metrics", nil, http.StatusOK, &met)
-	if met.Admission == nil || met.Admission.Shed != 1 || met.Admission.PerShard != 1 {
-		t.Errorf("admission block = %+v", met.Admission)
+	exp := c.scrape("")
+	if v, ok := exp.Value(obs.SeriesKey("querylearn_http_shed_total",
+		map[string]string{"endpoint": "status"})); !ok || v != 1 {
+		t.Errorf("status shed = %v (present=%v), want 1", v, ok)
 	}
-	if met.Faults == nil || met.Faults.Points[string(PointRequest)].Injected != 1 {
-		t.Errorf("faults block = %+v", met.Faults)
+	if v, ok := exp.Value("querylearn_faults_injected"); !ok || v != 1 {
+		t.Errorf("faults injected = %v (present=%v), want 1", v, ok)
 	}
 }
 
@@ -122,11 +123,12 @@ func TestDrainRejectsNewSessions(t *testing.T) {
 // heals the store within its interval — after which mutations succeed again.
 func TestDegradedModeOverV1(t *testing.T) {
 	reg := fault.NewRegistry()
-	st, _, err := store.Open(t.TempDir(), store.Options{Fsync: store.FsyncOff, Faults: reg})
+	oreg := obs.NewRegistry()
+	st, _, err := store.Open(t.TempDir(), store.Options{Fsync: store.FsyncOff, Faults: reg, Obs: oreg})
 	must(t, err)
 	t.Cleanup(func() { st.Close() })
 	mgr := session.NewManager(session.Config{Journal: st})
-	ts := httptest.NewServer(New(mgr, WithStore(st.Stats), WithFaults(reg)).Handler())
+	ts := httptest.NewServer(New(mgr, WithObs(oreg), WithStore(st.Stats), WithFaults(reg)).Handler())
 	t.Cleanup(ts.Close)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -181,13 +183,12 @@ func TestDegradedModeOverV1(t *testing.T) {
 	if health.Degraded.Reason == "" || health.Degraded.Since.IsZero() {
 		t.Errorf("degraded block lacks reason/since: %+v", health.Degraded)
 	}
-	var met metricsResponse
-	c.do("GET", "/metrics", nil, http.StatusOK, &met)
-	if met.Store == nil || !met.Store.Degraded {
-		t.Errorf("metrics store.degraded not set: %+v", met.Store)
+	exp := c.scrape("")
+	if v, ok := exp.Value("querylearn_store_degraded"); !ok || v != 1 {
+		t.Errorf("store degraded gauge = %v (present=%v), want 1", v, ok)
 	}
-	if met.Faults == nil || met.Faults.Injected == 0 {
-		t.Errorf("metrics faults block missed the injections: %+v", met.Faults)
+	if v, ok := exp.Value("querylearn_faults_injected"); !ok || v == 0 {
+		t.Errorf("faults injected = %v (present=%v), want > 0", v, ok)
 	}
 
 	// The disk comes back: the probe's next compaction heals the store.

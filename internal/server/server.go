@@ -13,13 +13,11 @@
 //	GET    /v1/sessions/{id}/query        the learned hypothesis
 //	GET    /v1/sessions/{id}/snapshot     persistable session state
 //	DELETE /v1/sessions/{id}              evict
-//	GET    /metrics                       per-endpoint counters + manager stats
+//	GET    /metrics                       Prometheus text exposition
 //	GET    /healthz                       liveness
 //
-// The pre-v1 unversioned routes are kept as thin deprecated aliases: same
-// handlers, a "Deprecation: true" header plus a Link to the /v1 successor,
-// and lax request decoding (unknown body fields ignored) for old clients.
-// /v1 request bodies are decoded strictly — a typo'd field fails loudly.
+// Session routes exist only under /v1; unversioned session paths are 404.
+// Request bodies are decoded strictly — a typo'd field fails loudly.
 //
 // POST /v1/sessions and POST /v1/sessions/{id}/answers honor an
 // Idempotency-Key header so retried writes are safe; see pkg/api.
@@ -66,20 +64,16 @@ type Server struct {
 	idem       *idemCache
 	maxBody    int64
 	storeStats func() store.Stats // nil when running without a durable store
-	// clusterStats is non-nil when the daemon runs clustered: /metrics and
-	// /healthz grow a "cluster" block (node id, per-peer liveness and
-	// replication lag, failover counters).
+	// clusterStats is non-nil when the daemon runs clustered: /healthz grows
+	// a "cluster" block (node id, per-peer liveness and replication lag,
+	// failover counters).
 	clusterStats func() cluster.Stats
-	adm        *admission         // nil = admission control disabled
-	faults     *fault.Registry    // nil = no fault injection
-	draining   atomic.Bool        // set by Drain: shed new sessions
+	adm          *admission      // nil = admission control disabled
+	faults       *fault.Registry // nil = no fault injection
+	draining     atomic.Bool     // set by Drain: shed new sessions
 
 	// obsReg is the registry handed in by WithObs (nil = private registry).
 	obsReg *obs.Registry
-	// pooledEnc selects the pooled response-encoding path (default true);
-	// WithPooledEncoding(false) restores per-response allocation, kept as
-	// the measured baseline for the T17 experiment.
-	pooledEnc bool
 	// Slow-request structured logging (WithSlowRequestLog); slowLog nil
 	// disables it.
 	slowLog       *slog.Logger
@@ -91,14 +85,15 @@ type Server struct {
 // Option configures a Server at construction.
 type Option func(*Server)
 
-// WithStore surfaces the durable store's status: /metrics grows a "store"
-// block and /healthz reports journal lag and last-compaction stats.
+// WithStore surfaces the durable store's status: /metrics grows the
+// querylearn_store_* stats gauges and /healthz reports journal lag and
+// last-compaction stats.
 func WithStore(stats func() store.Stats) Option {
 	return func(s *Server) { s.storeStats = stats }
 }
 
-// WithCluster surfaces the node's cluster view: /metrics and /healthz grow
-// a "cluster" block. The cluster's router must separately be wrapped around
+// WithCluster surfaces the node's cluster view: /healthz grows a "cluster"
+// block. The cluster's router must separately be wrapped around
 // Handler(); the server itself stays cluster-unaware on the request path.
 func WithCluster(stats func() cluster.Stats) Option {
 	return func(s *Server) { s.clusterStats = stats }
@@ -117,18 +112,10 @@ func WithMaxBodyBytes(n int64) Option {
 
 // WithObs shares an observability registry with the server: its HTTP
 // counters and histograms register there, so a store wired with the same
-// registry lands in the same /metrics?format=prometheus scrape. Without this
+// registry lands in the same /metrics scrape. Without this
 // option the server keeps a private registry.
 func WithObs(reg *obs.Registry) Option {
 	return func(s *Server) { s.obsReg = reg }
-}
-
-// WithPooledEncoding toggles the pooled response-encoding path (on by
-// default). Off, every response allocates its own buffer and rendered body
-// — the pre-pooling behavior, used as the baseline arm of the allocation
-// benchmarks.
-func WithPooledEncoding(enabled bool) Option {
-	return func(s *Server) { s.pooledEnc = enabled }
 }
 
 // WithSlowRequestLog enables structured slow-request logging: requests at or
@@ -151,24 +138,21 @@ func WithSlowRequestLog(logger *slog.Logger, threshold time.Duration, every int)
 // the structured error envelope.
 type handler func(w http.ResponseWriter, r *http.Request) *apiError
 
-// New wires the routes onto a fresh mux: every endpoint under /v1 (strict
-// decoding), the pre-v1 surface as deprecated lax aliases, and the
-// unversioned infra endpoints (/metrics, /healthz).
+// New wires the routes onto a fresh mux: the session endpoints under /v1
+// and the unversioned infra endpoints (/metrics, /healthz).
 func New(mgr *session.Manager, opts ...Option) *Server {
 	s := &Server{
-		mgr:       mgr,
-		mux:       http.NewServeMux(),
-		idem:      newIdemCache(idemCacheCap),
-		maxBody:   maxBodyBytes,
-		pooledEnc: true,
+		mgr:     mgr,
+		mux:     http.NewServeMux(),
+		idem:    newIdemCache(idemCacheCap),
+		maxBody: maxBodyBytes,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.metrics = newMetrics(s.obsReg)
 	s.metrics.registerRuntimeGauges()
-	s.metrics.reg.GaugeFunc("querylearn_sessions_live", "live learning sessions",
-		func() float64 { return float64(mgr.Len()) })
+	s.metrics.registerStatsGauges(mgr, s.storeStats, s.faults)
 	if s.adm != nil {
 		s.metrics.reg.GaugeFunc("querylearn_admission_inflight",
 			"admitted requests currently in flight across all shards", func() float64 {
@@ -179,26 +163,25 @@ func New(mgr *session.Manager, opts ...Option) *Server {
 				return float64(sum)
 			})
 	}
-	// versioned registers a handler factory under /v1 and as a deprecated
-	// legacy alias; the factory is told which dialect it serves.
-	versioned := func(method, path, name string, mk func(v1 bool) handler) {
-		s.mux.HandleFunc(method+" "+api.V1Prefix+path, s.wrap(name, false, mk(true)))
-		s.mux.HandleFunc(method+" "+path, s.wrap(name, true, mk(false)))
+	for _, rt := range []struct {
+		method, path, name string
+		h                  handler
+	}{
+		{"POST", "/sessions", "create", s.handleCreate},
+		{"POST", "/sessions/resume", "resume", s.handleResume},
+		{"GET", "/sessions", "list", s.handleList},
+		{"GET", "/sessions/{id}", "status", s.handleStatus},
+		{"GET", "/sessions/{id}/question", "question", s.handleQuestion},
+		{"GET", "/sessions/{id}/questions", "questions", s.handleQuestions},
+		{"POST", "/sessions/{id}/answers", "answers", s.handleAnswers},
+		{"GET", "/sessions/{id}/query", "query", s.handleQuery},
+		{"GET", "/sessions/{id}/snapshot", "snapshot", s.handleSnapshot},
+		{"DELETE", "/sessions/{id}", "delete", s.handleDelete},
+	} {
+		s.mux.HandleFunc(rt.method+" "+api.V1Prefix+rt.path, s.wrap(rt.name, rt.h))
 	}
-	versioned("POST", "/sessions", "create", s.handleCreate)
-	versioned("POST", "/sessions/resume", "resume", s.handleResume)
-	versioned("GET", "/sessions/{id}", "status", s.handleStatus)
-	versioned("GET", "/sessions/{id}/question", "question", s.handleQuestion)
-	versioned("POST", "/sessions/{id}/answers", "answers", s.handleAnswers)
-	versioned("GET", "/sessions/{id}/query", "query", s.handleQuery)
-	versioned("GET", "/sessions/{id}/snapshot", "snapshot", s.handleSnapshot)
-	versioned("DELETE", "/sessions/{id}", "delete", s.handleDelete)
-	// v1-only endpoints: the batch-first question surface and the session
-	// list have no legacy form.
-	s.mux.HandleFunc("GET "+api.V1Prefix+"/sessions", s.wrap("list", false, s.handleList))
-	s.mux.HandleFunc("GET "+api.V1Prefix+"/sessions/{id}/questions", s.wrap("questions", false, s.handleQuestions))
-	s.mux.HandleFunc("GET /metrics", s.wrap("metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("GET /healthz", s.wrap("healthz", false, s.handleHealthz))
+	s.mux.HandleFunc("GET /metrics", s.wrap("metrics", s.handleMetrics))
+	s.mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
 	return s
 }
 
@@ -266,11 +249,10 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 
 // wrap applies the per-endpoint bookkeeping: request counters, the request
 // id, the span trace, latency/phase histograms, slow-request logging, the
-// degraded-mode flag, admission control, the request fault point, the
-// body-size cap, and — on legacy aliases — the deprecation headers. The
-// infra endpoints (/metrics, /healthz) bypass admission and fault injection
-// so observability survives both overload and chaos.
-func (s *Server) wrap(name string, deprecated bool, h handler) http.HandlerFunc {
+// degraded-mode flag, admission control, the request fault point, and the
+// body-size cap. The infra endpoints (/metrics, /healthz) bypass admission
+// and fault injection so observability survives both overload and chaos.
+func (s *Server) wrap(name string, h handler) http.HandlerFunc {
 	stats := s.metrics.endpoints[name]
 	infra := name == "metrics" || name == "healthz"
 	// Phase traces only have consumers when a shared registry or the
@@ -295,16 +277,10 @@ func (s *Server) wrap(name string, deprecated bool, h handler) http.HandlerFunc 
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		defer s.finishRequest(name, r, sw, tr, start)
-		if deprecated {
-			s.metrics.deprecated.Inc()
-			w.Header().Set(api.DeprecationHeader, "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"", api.V1Prefix, r.URL.Path))
-		}
 		if _, _, degraded := s.mgr.Degraded(); degraded {
 			w.Header().Set(api.DegradedHeader, "true")
 		}
 		fail := func(e *apiError) {
-			stats.errors.Add(1)
 			s.metrics.errorsVec.With(name, e.Code).Inc()
 			e.Error.RequestID = rid
 			if e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable {
@@ -403,24 +379,14 @@ const encodeBufMax = 1 << 20
 
 // writeJSON renders v exactly like marshalBody (two-space indent plus a
 // trailing newline — json.Encoder with SetIndent is byte-identical) but
-// through a pooled buffer written straight to the wire. WithPooledEncoding
-// (false) falls back to the allocate-per-response path.
+// through a pooled buffer written straight to the wire.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	if !s.pooledEnc {
-		b, err := marshalBody(v)
-		if err != nil {
-			// Our own response types always marshal; defend anyway.
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeRaw(w, status, b)
-		return
-	}
 	buf := encodeBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
+		// Our own response types always marshal; defend anyway.
 		encodeBufPool.Put(buf)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -447,19 +413,16 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// readJSON consumes a POST body: on /v1 it enforces a JSON Content-Type
-// (415 otherwise) and decodes strictly (unknown fields rejected); legacy
-// aliases stay fully lax so pre-v1 clients keep working unchanged. Both
-// dialects map the body-size cap onto 413 instead of a generic bad-body
-// 400. The raw bytes are returned for idempotency fingerprinting.
-func readJSON(r *http.Request, strict bool, into any) ([]byte, *apiError) {
-	if strict {
-		ct := r.Header.Get("Content-Type")
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || (mt != "application/json" && !isJSONSuffix(mt)) {
-			return nil, errf(http.StatusUnsupportedMediaType, api.CodeUnsupportedMediaType,
-				"Content-Type %q is not JSON (want application/json)", ct)
-		}
+// readJSON consumes a POST body: it enforces a JSON Content-Type (415
+// otherwise), maps the body-size cap onto 413 instead of a generic bad-body
+// 400, and decodes strictly (unknown fields rejected). The raw bytes are
+// returned for idempotency fingerprinting.
+func readJSON(r *http.Request, into any) ([]byte, *apiError) {
+	ct := r.Header.Get("Content-Type")
+	mt, _, err := mime.ParseMediaType(ct)
+	if err != nil || (mt != "application/json" && !isJSONSuffix(mt)) {
+		return nil, errf(http.StatusUnsupportedMediaType, api.CodeUnsupportedMediaType,
+			"Content-Type %q is not JSON (want application/json)", ct)
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -471,9 +434,7 @@ func readJSON(r *http.Request, strict bool, into any) ([]byte, *apiError) {
 		return nil, errf(http.StatusBadRequest, api.CodeBadBody, "reading body: %v", err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return nil, errf(http.StatusBadRequest, api.CodeBadJSON, "decoding body: %v", err)
 	}
@@ -497,15 +458,10 @@ func (s *Server) get(r *http.Request) (*session.Session, *apiError) {
 // idempotent executes exec under the request's Idempotency-Key, if any:
 // a repeated key with the same body replays the stored first response, a
 // mismatched or in-flight key conflicts, and only 2xx outcomes are stored
-// (a failed attempt releases the key so the retry re-executes). Keys are
-// a v1 feature; on legacy aliases the header is ignored, per the
-// deprecation policy in doc.go.
-func (s *Server) idempotent(w http.ResponseWriter, r *http.Request, v1 bool, scope string, body []byte,
+// (a failed attempt releases the key so the retry re-executes).
+func (s *Server) idempotent(w http.ResponseWriter, r *http.Request, scope string, body []byte,
 	exec func() (int, any, *apiError)) *apiError {
-	key := ""
-	if v1 {
-		key = r.Header.Get(api.IdempotencyKeyHeader)
-	}
+	key := r.Header.Get(api.IdempotencyKeyHeader)
 	if key == "" {
 		status, v, e := exec()
 		if e != nil {
@@ -544,25 +500,23 @@ func (s *Server) idempotent(w http.ResponseWriter, r *http.Request, v1 bool, sco
 	return nil
 }
 
-func (s *Server) handleCreate(v1 bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		var req api.CreateRequest
-		body, e := readJSON(r, v1, &req)
-		if e != nil {
-			return e
-		}
-		if e := s.validateLimits(req.Limits); e != nil {
-			return e
-		}
-		return s.idempotent(w, r, v1, "create", body, func() (int, any, *apiError) {
-			sess, err := s.mgr.CreateTraced(req.Model, req.Task,
-				session.CreateOptions{MaxCost: req.MaxCost, Limits: req.Limits}, obs.FromContext(r.Context()))
-			if err != nil {
-				return 0, nil, fromManager(err)
-			}
-			return http.StatusCreated, api.CreateResponse{ID: sess.ID(), Model: sess.Model()}, nil
-		})
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) *apiError {
+	var req api.CreateRequest
+	body, e := readJSON(r, &req)
+	if e != nil {
+		return e
 	}
+	if e := s.validateLimits(req.Limits); e != nil {
+		return e
+	}
+	return s.idempotent(w, r, "create", body, func() (int, any, *apiError) {
+		sess, err := s.mgr.CreateTraced(req.Model, req.Task,
+			session.CreateOptions{MaxCost: req.MaxCost, Limits: req.Limits}, obs.FromContext(r.Context()))
+		if err != nil {
+			return 0, nil, fromManager(err)
+		}
+		return http.StatusCreated, api.CreateResponse{ID: sess.ID(), Model: sess.Model()}, nil
+	})
 }
 
 // validateLimits vets a create request's optional session limits at the
@@ -576,49 +530,43 @@ func (s *Server) validateLimits(lim *api.PathLimits) *apiError {
 	return nil
 }
 
-func (s *Server) handleResume(v1 bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		var snap session.Snapshot
-		if _, e := readJSON(r, v1, &snap); e != nil {
-			return e
-		}
-		sess, err := s.mgr.ResumeTraced(snap, obs.FromContext(r.Context()))
-		if err != nil {
-			return fromManager(err)
-		}
-		s.writeJSON(w, http.StatusCreated, api.CreateResponse{ID: sess.ID(), Model: sess.Model()})
-		return nil
+func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) *apiError {
+	var snap session.Snapshot
+	if _, e := readJSON(r, &snap); e != nil {
+		return e
 	}
+	sess, err := s.mgr.ResumeTraced(snap, obs.FromContext(r.Context()))
+	if err != nil {
+		return fromManager(err)
+	}
+	s.writeJSON(w, http.StatusCreated, api.CreateResponse{ID: sess.ID(), Model: sess.Model()})
+	return nil
 }
 
-func (s *Server) handleStatus(bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		sess, e := s.get(r)
-		if e != nil {
-			return e
-		}
-		s.writeJSON(w, http.StatusOK, sess.Status())
-		return nil
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) *apiError {
+	sess, e := s.get(r)
+	if e != nil {
+		return e
 	}
+	s.writeJSON(w, http.StatusOK, sess.Status())
+	return nil
 }
 
-func (s *Server) handleQuestion(bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		sess, e := s.get(r)
-		if e != nil {
-			return e
-		}
-		qs, err := sess.QuestionsTraced(1, obs.FromContext(r.Context()))
-		if err != nil {
-			return fromManager(err)
-		}
-		resp := api.QuestionResponse{Done: len(qs) == 0}
-		if len(qs) > 0 {
-			resp.Question = &qs[0]
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return nil
+func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) *apiError {
+	sess, e := s.get(r)
+	if e != nil {
+		return e
 	}
+	qs, err := sess.QuestionsTraced(1, obs.FromContext(r.Context()))
+	if err != nil {
+		return fromManager(err)
+	}
+	resp := api.QuestionResponse{Done: len(qs) == 0}
+	if len(qs) > 0 {
+		resp.Question = &qs[0]
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleQuestions is GET /v1/sessions/{id}/questions?n=k — the batch-first
@@ -669,175 +617,80 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) *apiError {
 	return nil
 }
 
-func (s *Server) handleAnswers(v1 bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		var req api.AnswersRequest
-		body, e := readJSON(r, v1, &req)
-		if e != nil {
-			return e
-		}
-		// The idempotency check runs before the session lookup (scoped by
-		// the path id): a batch whose 200 was stored and whose session was
-		// then deleted or evicted must still replay the success, not 404.
-		return s.idempotent(w, r, v1, "answers\x00"+r.PathValue("id"), body, func() (int, any, *apiError) {
-			sess, e := s.get(r)
-			if e != nil {
-				return 0, nil, e
-			}
-			// The key is also threaded into the session layer, which
-			// journals it with the batch: the durable, failover-surviving
-			// replay window beneath this server's byte-replay cache. A
-			// retry that lands on a peer that adopted the session after a
-			// crash still replays instead of double-charging HITs.
-			key := ""
-			if v1 {
-				key = r.Header.Get(api.IdempotencyKeyHeader)
-			}
-			res, replayed, err := sess.AnswerIdemTraced(req.Answers, req.Reconcile, key, obs.FromContext(r.Context()))
-			if err != nil {
-				return 0, nil, fromManager(err)
-			}
-			if replayed {
-				w.Header().Set(api.IdempotencyReplayedHeader, "true")
-			}
-			return http.StatusOK, res, nil
-		})
+func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) *apiError {
+	var req api.AnswersRequest
+	body, e := readJSON(r, &req)
+	if e != nil {
+		return e
 	}
-}
-
-func (s *Server) handleQuery(bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
+	// The idempotency check runs before the session lookup (scoped by the
+	// path id): a batch whose 200 was stored and whose session was then
+	// deleted or evicted must still replay the success, not 404.
+	return s.idempotent(w, r, "answers\x00"+r.PathValue("id"), body, func() (int, any, *apiError) {
 		sess, e := s.get(r)
 		if e != nil {
-			return e
+			return 0, nil, e
 		}
-		h, err := sess.HypothesisTraced(obs.FromContext(r.Context()))
+		// The key is also threaded into the session layer, which journals
+		// it with the batch: the durable, failover-surviving replay window
+		// beneath this server's byte-replay cache. A retry that lands on a
+		// peer that adopted the session after a crash still replays instead
+		// of double-charging HITs.
+		key := r.Header.Get(api.IdempotencyKeyHeader)
+		res, replayed, err := sess.AnswerIdemTraced(req.Answers, req.Reconcile, key, obs.FromContext(r.Context()))
 		if err != nil {
-			return fromManager(err)
+			return 0, nil, fromManager(err)
 		}
-		s.writeJSON(w, http.StatusOK, h)
-		return nil
-	}
-}
-
-func (s *Server) handleSnapshot(bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		sess, e := s.get(r)
-		if e != nil {
-			return e
+		if replayed {
+			w.Header().Set(api.IdempotencyReplayedHeader, "true")
 		}
-		s.writeJSON(w, http.StatusOK, sess.Snapshot())
-		return nil
+		return http.StatusOK, res, nil
+	})
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *apiError {
+	sess, e := s.get(r)
+	if e != nil {
+		return e
 	}
-}
-
-func (s *Server) handleDelete(bool) handler {
-	return func(w http.ResponseWriter, r *http.Request) *apiError {
-		if err := s.mgr.DeleteTraced(r.PathValue("id"), obs.FromContext(r.Context())); err != nil {
-			return fromManager(err)
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return nil
+	h, err := sess.HypothesisTraced(obs.FromContext(r.Context()))
+	if err != nil {
+		return fromManager(err)
 	}
+	s.writeJSON(w, http.StatusOK, h)
+	return nil
 }
 
-// metricsResponse is the GET /metrics document. Store is present only when
-// the daemon runs with a data directory; Admission and Faults only when the
-// respective subsystems are configured. The store block carries the
-// degraded gauge (store.degraded / degraded_reason / degraded_since).
-//
-// The PR 6 keys keep their exact shape and order; the observability keys
-// (latency, phases, errors_by_code, shed_by_endpoint) are strictly appended
-// so pre-existing scrapers decode unchanged.
-type metricsResponse struct {
-	Sessions session.Stats `json:"sessions"`
-	// DeprecatedRequests counts hits on the pre-v1 legacy aliases — the
-	// signal for retiring them.
-	DeprecatedRequests int64                      `json:"deprecated_requests"`
-	Endpoints          map[string]EndpointMetrics `json:"endpoints"`
-	Store              *store.Stats               `json:"store,omitempty"`
-	Cluster            *cluster.Stats             `json:"cluster,omitempty"`
-	Admission          *admissionMetrics          `json:"admission,omitempty"`
-	Faults             *faultMetrics              `json:"faults,omitempty"`
-	// Latency summarizes the per-endpoint request histograms (statuses
-	// merged); Phases the span-trace phase histograms.
-	Latency map[string]LatencySummary `json:"latency,omitempty"`
-	Phases  map[string]LatencySummary `json:"phases,omitempty"`
-	// ErrorsByCode splits each endpoint's error total by stable api code;
-	// ShedByEndpoint breaks the admission shed total down per endpoint.
-	ErrorsByCode   map[string]map[string]int64 `json:"errors_by_code,omitempty"`
-	ShedByEndpoint map[string]int64            `json:"shed_by_endpoint,omitempty"`
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) *apiError {
+	sess, e := s.get(r)
+	if e != nil {
+		return e
+	}
+	s.writeJSON(w, http.StatusOK, sess.Snapshot())
+	return nil
 }
 
-// admissionMetrics is the load-shedding status block.
-type admissionMetrics struct {
-	PerShard int64 `json:"per_shard"`
-	Shards   int   `json:"shards"`
-	// Inflight is the instant sum of admitted requests; Shed counts 429s.
-	Inflight int64 `json:"inflight"`
-	Shed     int64 `json:"shed"`
-	Draining bool  `json:"draining"`
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) *apiError {
+	if err := s.mgr.DeleteTraced(r.PathValue("id"), obs.FromContext(r.Context())); err != nil {
+		return fromManager(err)
+	}
+	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-// faultMetrics is the faults_injected block: per-point hit and injection
-// counters from the wired registry.
-type faultMetrics struct {
-	Injected int64                  `json:"injected"`
-	Points   map[string]fault.Stats `json:"points"`
-}
-
+// handleMetrics serves the whole registry — HTTP, session, store, cluster,
+// planner and runtime families — in the Prometheus text exposition format.
+// The format query parameter is ignored, so scrapers that still ask for
+// ?format=prometheus keep working.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) *apiError {
-	// format=prometheus serves the full registry — HTTP, session, store, and
-	// runtime families — in the text exposition format. Any other (or no)
-	// format keeps the legacy JSON document byte-compatible.
-	if format := r.URL.Query().Get("format"); format != "" {
-		if format != "prometheus" {
-			return errf(http.StatusBadRequest, api.CodeBadParam,
-				"format=%q is not supported (want prometheus, or omit for JSON)", format)
-		}
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = s.metrics.reg.WritePrometheus(w) // status line already out
-		return nil
-	}
-	resp := metricsResponse{
-		Sessions:           s.mgr.Stats(),
-		DeprecatedRequests: s.metrics.deprecated.Value(),
-		Endpoints:          s.metrics.snapshot(),
-		Latency:            s.metrics.latencyByEndpoint(),
-		Phases:             s.metrics.phaseSummaries(),
-		ErrorsByCode:       s.metrics.errorsByCode(),
-		ShedByEndpoint:     s.metrics.shedByEndpoint(),
-	}
-	if s.storeStats != nil {
-		st := s.storeStats()
-		resp.Store = &st
-	}
-	if s.clusterStats != nil {
-		cs := s.clusterStats()
-		resp.Cluster = &cs
-	}
-	if s.adm != nil {
-		am := &admissionMetrics{
-			PerShard: s.adm.perShard,
-			Shards:   len(s.adm.inflight),
-			Shed:     s.metrics.shedTotal(),
-			Draining: s.draining.Load(),
-		}
-		for i := range s.adm.inflight {
-			am.Inflight += s.adm.inflight[i].Load()
-		}
-		resp.Admission = am
-	}
-	if s.faults != nil {
-		resp.Faults = &faultMetrics{Injected: s.faults.Injected(), Points: s.faults.Counts()}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", obs.PrometheusContentType)
+	w.WriteHeader(http.StatusOK)
+	_ = s.metrics.reg.WritePrometheus(w) // status line already out
 	return nil
 }
 
 // healthStore is the durability summary /healthz carries: enough to alarm on
-// (journal lag, compaction recency) without the full /metrics document.
+// (journal lag, compaction recency) without scraping /metrics.
 type healthStore struct {
 	Fsync          string                 `json:"fsync"`
 	JournalLag     int64                  `json:"journal_lag"`

@@ -14,6 +14,7 @@ import (
 	"querylearn/internal/graph"
 	"querylearn/internal/graphlearn"
 	"querylearn/internal/interact"
+	"querylearn/internal/obs"
 	"querylearn/internal/rellearn"
 	"querylearn/internal/session"
 	"querylearn/internal/store"
@@ -132,7 +133,7 @@ func (c *client) do(method, path string, body any, wantStatus int, into any) {
 
 func (c *client) create(model, task string) string {
 	var out struct{ ID string }
-	c.do("POST", "/sessions", map[string]any{"model": model, "task": task}, http.StatusCreated, &out)
+	c.do("POST", "/v1/sessions", map[string]any{"model": model, "task": task}, http.StatusCreated, &out)
 	if out.ID == "" {
 		c.t.Fatal("create returned empty id")
 	}
@@ -148,7 +149,7 @@ func (c *client) converge(id string, oracle func(json.RawMessage) bool) (session
 			Done     bool              `json:"done"`
 			Question *session.Question `json:"question"`
 		}
-		c.do("GET", "/sessions/"+id+"/question", nil, http.StatusOK, &qr)
+		c.do("GET", "/v1/sessions/"+id+"/question", nil, http.StatusOK, &qr)
 		if qr.Done {
 			break
 		}
@@ -156,12 +157,12 @@ func (c *client) converge(id string, oracle func(json.RawMessage) bool) (session
 		if questions > 500 {
 			c.t.Fatalf("session %s did not converge over HTTP", id)
 		}
-		c.do("POST", "/sessions/"+id+"/answers", map[string]any{
+		c.do("POST", "/v1/sessions/"+id+"/answers", map[string]any{
 			"answers": []map[string]any{{"item": qr.Question.Item, "positive": oracle(qr.Question.Item)}},
 		}, http.StatusOK, nil)
 	}
 	var h session.Hypothesis
-	c.do("GET", "/sessions/"+id+"/query", nil, http.StatusOK, &h)
+	c.do("GET", "/v1/sessions/"+id+"/query", nil, http.StatusOK, &h)
 	return h, questions
 }
 
@@ -266,7 +267,7 @@ func TestEndToEndAllModels(t *testing.T) {
 		if questions == 0 {
 			t.Errorf("%s: no questions asked over HTTP", model)
 		}
-		c.do("DELETE", "/sessions/"+id, nil, http.StatusNoContent, nil)
+		c.do("DELETE", "/v1/sessions/"+id, nil, http.StatusNoContent, nil)
 	}
 }
 
@@ -294,7 +295,7 @@ func TestConcurrentSessionsOverHTTP(t *testing.T) {
 				errc <- fmt.Errorf("session %d (%s) learned %q, want %q", i, model, h.Query, want[model])
 				return
 			}
-			c.do("DELETE", "/sessions/"+id, nil, http.StatusNoContent, nil)
+			c.do("DELETE", "/v1/sessions/"+id, nil, http.StatusNoContent, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -305,12 +306,11 @@ func TestConcurrentSessionsOverHTTP(t *testing.T) {
 	if mgr.Len() != 0 {
 		t.Errorf("%d sessions leaked", mgr.Len())
 	}
-	var met struct {
-		Sessions session.Stats `json:"sessions"`
-	}
-	c.do("GET", "/metrics", nil, http.StatusOK, &met)
-	if met.Sessions.Created != n || met.Sessions.Deleted != n {
-		t.Errorf("metrics = %+v, want %d created and deleted", met.Sessions, n)
+	exp := c.scrape("")
+	created, _ := exp.Value("querylearn_sessions_created")
+	deleted, _ := exp.Value("querylearn_sessions_deleted")
+	if created != n || deleted != n {
+		t.Errorf("metrics created=%v deleted=%v, want %d of each", created, deleted, n)
 	}
 }
 
@@ -324,28 +324,28 @@ func TestStructuredErrors(t *testing.T) {
 	}
 
 	var e apiErr
-	c.do("GET", "/sessions/missing/question", nil, http.StatusNotFound, &e)
+	c.do("GET", "/v1/sessions/missing/question", nil, http.StatusNotFound, &e)
 	if e.Error.Code != "session_not_found" {
 		t.Errorf("code = %q", e.Error.Code)
 	}
-	c.do("POST", "/sessions", map[string]any{"model": "nope", "task": "x"}, http.StatusBadRequest, &e)
+	c.do("POST", "/v1/sessions", map[string]any{"model": "nope", "task": "x"}, http.StatusBadRequest, &e)
 	if e.Error.Code != "bad_request" {
 		t.Errorf("bad model code = %q", e.Error.Code)
 	}
 
 	id := c.create("join", joinTask)
-	c.do("POST", "/sessions", map[string]any{"model": "join", "task": joinTask}, http.StatusTooManyRequests, &e)
+	c.do("POST", "/v1/sessions", map[string]any{"model": "join", "task": joinTask}, http.StatusTooManyRequests, &e)
 	if e.Error.Code != "too_many_sessions" {
 		t.Errorf("cap code = %q", e.Error.Code)
 	}
 
 	// Budget: the session was created without a cap; recreate with one.
-	c.do("DELETE", "/sessions/"+id, nil, http.StatusNoContent, nil)
+	c.do("DELETE", "/v1/sessions/"+id, nil, http.StatusNoContent, nil)
 	var created struct{ ID string }
-	c.do("POST", "/sessions", map[string]any{"model": "join", "task": joinTask, "max_cost": 1.5},
+	c.do("POST", "/v1/sessions", map[string]any{"model": "join", "task": joinTask, "max_cost": 1.5},
 		http.StatusCreated, &created)
 	item := json.RawMessage(`{"left":0,"right":0}`)
-	c.do("POST", "/sessions/"+created.ID+"/answers", map[string]any{
+	c.do("POST", "/v1/sessions/"+created.ID+"/answers", map[string]any{
 		"answers": []map[string]any{
 			{"item": item, "positive": true},
 			{"item": item, "positive": true},
@@ -357,12 +357,12 @@ func TestStructuredErrors(t *testing.T) {
 
 	// Inconsistent answers mark the session failed (409 conflict); use an
 	// uncapped session so the budget doesn't interfere.
-	c.do("DELETE", "/sessions/"+created.ID, nil, http.StatusNoContent, nil)
+	c.do("DELETE", "/v1/sessions/"+created.ID, nil, http.StatusNoContent, nil)
 	uncapped := c.create("join", joinTask)
-	c.do("POST", "/sessions/"+uncapped+"/answers", map[string]any{
+	c.do("POST", "/v1/sessions/"+uncapped+"/answers", map[string]any{
 		"answers": []map[string]any{{"item": item, "positive": false}},
 	}, http.StatusOK, nil)
-	c.do("POST", "/sessions/"+uncapped+"/answers", map[string]any{
+	c.do("POST", "/v1/sessions/"+uncapped+"/answers", map[string]any{
 		"answers": []map[string]any{{"item": item, "positive": true}},
 	}, http.StatusConflict, &e)
 	if e.Error.Code != "session_failed" {
@@ -370,15 +370,19 @@ func TestStructuredErrors(t *testing.T) {
 	}
 
 	// Error counters moved.
-	var met struct {
-		Endpoints map[string]EndpointMetrics `json:"endpoints"`
+	exp := c.scrape("")
+	var answerErrs float64
+	for _, code := range []string{"budget_exhausted", "session_failed"} {
+		v, _ := exp.Value(obs.SeriesKey("querylearn_http_errors_total",
+			map[string]string{"endpoint": "answers", "code": code}))
+		answerErrs += v
 	}
-	c.do("GET", "/metrics", nil, http.StatusOK, &met)
-	if met.Endpoints["answers"].Errors < 2 {
-		t.Errorf("answers endpoint errors = %+v", met.Endpoints["answers"])
+	if answerErrs < 2 {
+		t.Errorf("answers endpoint errors = %v, want >= 2", answerErrs)
 	}
-	if met.Endpoints["create"].Requests < 3 {
-		t.Errorf("create endpoint requests = %+v", met.Endpoints["create"])
+	if v, _ := exp.Value(obs.SeriesKey("querylearn_http_requests_total",
+		map[string]string{"endpoint": "create"})); v < 3 {
+		t.Errorf("create endpoint requests = %v, want >= 3", v)
 	}
 }
 
@@ -387,7 +391,7 @@ func TestMajorityReconciliationOverHTTP(t *testing.T) {
 	id := c.create("join", joinTask)
 	item := json.RawMessage(`{"left":0,"right":0}`)
 	var res session.AnswerResult
-	c.do("POST", "/sessions/"+id+"/answers", map[string]any{
+	c.do("POST", "/v1/sessions/"+id+"/answers", map[string]any{
 		"reconcile": "majority",
 		"answers": []map[string]any{
 			{"item": item, "positive": true},
@@ -399,7 +403,7 @@ func TestMajorityReconciliationOverHTTP(t *testing.T) {
 		t.Errorf("majority result = %+v", res)
 	}
 	var st session.Status
-	c.do("GET", "/sessions/"+id, nil, http.StatusOK, &st)
+	c.do("GET", "/v1/sessions/"+id, nil, http.StatusOK, &st)
 	if st.Failed != "" {
 		t.Errorf("majority vote corrupted the session: %+v", st)
 	}
@@ -417,15 +421,15 @@ func TestSnapshotResumeOverHTTP(t *testing.T) {
 		Done     bool              `json:"done"`
 		Question *session.Question `json:"question"`
 	}
-	c1.do("GET", "/sessions/"+id+"/question", nil, http.StatusOK, &qr)
+	c1.do("GET", "/v1/sessions/"+id+"/question", nil, http.StatusOK, &qr)
 	if qr.Done {
 		t.Fatal("twig session converged immediately")
 	}
-	c1.do("POST", "/sessions/"+id+"/answers", map[string]any{
+	c1.do("POST", "/v1/sessions/"+id+"/answers", map[string]any{
 		"answers": []map[string]any{{"item": qr.Question.Item, "positive": orcs["twig"](qr.Question.Item)}},
 	}, http.StatusOK, nil)
 	var snap session.Snapshot
-	c1.do("GET", "/sessions/"+id+"/snapshot", nil, http.StatusOK, &snap)
+	c1.do("GET", "/v1/sessions/"+id+"/snapshot", nil, http.StatusOK, &snap)
 	if snap.ID != id || len(snap.Answers) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -433,7 +437,7 @@ func TestSnapshotResumeOverHTTP(t *testing.T) {
 	// Rehydrate on a fresh server, finish the dialogue there.
 	c2, _ := newTestServer(t, session.Config{})
 	var resumed struct{ ID string }
-	c2.do("POST", "/sessions/resume", snap, http.StatusCreated, &resumed)
+	c2.do("POST", "/v1/sessions/resume", snap, http.StatusCreated, &resumed)
 	if resumed.ID != id {
 		t.Fatalf("resume changed id: %q", resumed.ID)
 	}
@@ -446,7 +450,7 @@ func TestSnapshotResumeOverHTTP(t *testing.T) {
 	var e struct {
 		Error struct{ Code string } `json:"error"`
 	}
-	c2.do("POST", "/sessions/resume", snap, http.StatusConflict, &e)
+	c2.do("POST", "/v1/sessions/resume", snap, http.StatusConflict, &e)
 	if e.Error.Code != "session_exists" {
 		t.Errorf("conflict code = %q", e.Error.Code)
 	}
@@ -464,8 +468,8 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestStoreStatusBlocks: with a durable store wired in, /metrics grows a
-// "store" block and /healthz reports journal lag and compaction stats.
+// TestStoreStatusBlocks: with a durable store wired in, /metrics grows the
+// store stats gauges and /healthz reports journal lag and compaction stats.
 func TestStoreStatusBlocks(t *testing.T) {
 	st, _, err := store.Open(t.TempDir(), store.Options{Fsync: store.FsyncOff})
 	must(t, err)
@@ -476,10 +480,8 @@ func TestStoreStatusBlocks(t *testing.T) {
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 
 	id := c.create("join", joinTask)
-	var met metricsResponse
-	c.do("GET", "/metrics", nil, http.StatusOK, &met)
-	if met.Store == nil || met.Store.Appended == 0 || met.Store.Fsync != store.FsyncOff {
-		t.Fatalf("metrics store block = %+v", met.Store)
+	if v, ok := c.scrape("").Value("querylearn_store_events_appended"); !ok || v == 0 {
+		t.Fatalf("store events appended = %v (present=%v), want > 0", v, ok)
 	}
 	must(t, mgr.Delete(id))
 	if _, err := mgr.Compact(); err != nil {

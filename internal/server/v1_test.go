@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"querylearn/internal/cluster"
 	"querylearn/internal/session"
+	"querylearn/internal/store"
 	"querylearn/pkg/api"
 )
 
@@ -190,74 +193,61 @@ func TestSnapshotResumeMidBatch(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecationAliases: the pre-v1 routes answer identically but
-// carry the Deprecation header and a successor Link; /v1 routes carry
-// neither, and legacy traffic shows up in /metrics.
-func TestLegacyDeprecationAliases(t *testing.T) {
-	c, _ := newTestServer(t, session.Config{})
-	body, _ := json.Marshal(api.CreateRequest{Model: "join", Task: taskByModel["join"]})
+// TestUnversionedSessionPathsAre404: session routes exist only under /v1.
+// Every former unversioned alias answers 404 with no Deprecation header, on
+// a bare server and through the cluster router (which must not redirect or
+// forward them either).
+func TestUnversionedSessionPathsAre404(t *testing.T) {
+	mgr := session.NewManager(session.Config{})
+	sess, err := mgr.Create("join", taskByModel["join"], session.CreateOptions{})
+	must(t, err)
+	id := sess.ID()
+	srv := New(mgr)
 
-	legacy := c.doRaw("POST", "/sessions", body, jsonHeaders)
-	defer legacy.Body.Close()
-	if legacy.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create: HTTP %d", legacy.StatusCode)
-	}
-	if got := legacy.Header.Get(api.DeprecationHeader); got != "true" {
-		t.Errorf("legacy Deprecation header = %q", got)
-	}
-	if link := legacy.Header.Get("Link"); !strings.Contains(link, "</v1/sessions>") || !strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link header = %q", link)
-	}
+	st, _, err := store.Open(t.TempDir(), store.Options{})
+	must(t, err)
+	t.Cleanup(func() { st.Close() })
+	cl, err := cluster.New(cluster.Config{
+		NodeID: "n1",
+		Peers:  []cluster.Peer{{ID: "n1", Addr: "127.0.0.1:1"}, {ID: "n2", Addr: "127.0.0.1:2"}},
+		Store:  st,
+	})
+	must(t, err)
 
-	v1 := c.doRaw("POST", "/v1/sessions", body, jsonHeaders)
-	defer v1.Body.Close()
-	if v1.StatusCode != http.StatusCreated {
-		t.Fatalf("v1 create: HTTP %d", v1.StatusCode)
-	}
-	if got := v1.Header.Get(api.DeprecationHeader); got != "" {
-		t.Errorf("v1 response carries Deprecation header %q", got)
-	}
-
-	var met metricsResponse
-	c.do("GET", "/metrics", nil, http.StatusOK, &met)
-	if met.DeprecatedRequests != 1 {
-		t.Errorf("deprecated_requests = %d, want 1", met.DeprecatedRequests)
-	}
-}
-
-// TestLegacyAliasesStayLax: a pre-v1 client that sends no JSON
-// Content-Type (curl -d defaults to form encoding) keeps working on the
-// aliases, and the Idempotency-Key header is a v1 feature the aliases
-// ignore — two legacy creates under one key make two sessions.
-func TestLegacyAliasesStayLax(t *testing.T) {
-	c, mgr := newTestServer(t, session.Config{})
 	body := mustJSON(t, api.CreateRequest{Model: "join", Task: taskByModel["join"]})
-
-	resp := c.doRaw("POST", "/sessions", body,
-		map[string]string{"Content-Type": "application/x-www-form-urlencoded"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Errorf("legacy create without JSON Content-Type: HTTP %d, want 201", resp.StatusCode)
-	}
-
-	keyed := map[string]string{api.IdempotencyKeyHeader: "legacy-key"}
-	for i := 0; i < 2; i++ {
-		resp := c.doRaw("POST", "/sessions", body, keyed)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("legacy keyed create %d: HTTP %d", i, resp.StatusCode)
+	for name, h := range map[string]http.Handler{"bare": srv.Handler(), "cluster": cl.Router(srv.Handler())} {
+		ts := httptest.NewServer(h)
+		c := &client{t: t, base: ts.URL, http: ts.Client()}
+		for _, rt := range []struct{ method, path string }{
+			{"POST", "/sessions"},
+			{"POST", "/sessions/resume"},
+			{"GET", "/sessions/" + id},
+			{"GET", "/sessions/" + id + "/question"},
+			{"POST", "/sessions/" + id + "/answers"},
+			{"GET", "/sessions/" + id + "/query"},
+			{"GET", "/sessions/" + id + "/snapshot"},
+			{"DELETE", "/sessions/" + id},
+		} {
+			resp := c.doRaw(rt.method, rt.path, body, jsonHeaders)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: %s %s: HTTP %d, want 404", name, rt.method, rt.path, resp.StatusCode)
+			}
+			if got := resp.Header.Get("Deprecation"); got != "" {
+				t.Errorf("%s: %s %s carries Deprecation %q", name, rt.method, rt.path, got)
+			}
 		}
-		if got := resp.Header.Get(api.IdempotencyReplayedHeader); got != "" {
-			t.Errorf("legacy alias replayed an idempotent response (header %q)", got)
-		}
+		ts.Close()
 	}
-	if mgr.Len() != 3 {
-		t.Errorf("%d live sessions, want 3 (aliases must ignore Idempotency-Key)", mgr.Len())
+	if _, err := mgr.Get(id); err != nil {
+		t.Errorf("session gone after unversioned DELETE: %v", err)
+	}
+	if mgr.Len() != 1 {
+		t.Errorf("%d live sessions, want 1 (unversioned POSTs must not create)", mgr.Len())
 	}
 }
 
-// TestV1StrictDecoding: unknown body fields fail loudly on /v1 and are
-// ignored on the legacy aliases.
+// TestV1StrictDecoding: unknown body fields fail loudly.
 func TestV1StrictDecoding(t *testing.T) {
 	c, _ := newTestServer(t, session.Config{})
 	body := []byte(`{"model":"join","task":` + string(mustJSON(t, taskByModel["join"])) + `,"modle":"typo"}`)
@@ -270,12 +260,6 @@ func TestV1StrictDecoding(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || e.Error.Code != api.CodeBadJSON {
 		t.Errorf("v1 unknown field: HTTP %d code %q", resp.StatusCode, e.Error.Code)
-	}
-
-	legacy := c.doRaw("POST", "/sessions", body, jsonHeaders)
-	legacy.Body.Close()
-	if legacy.StatusCode != http.StatusCreated {
-		t.Errorf("legacy unknown field: HTTP %d, want 201 (lax decoding)", legacy.StatusCode)
 	}
 }
 

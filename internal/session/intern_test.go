@@ -33,8 +33,8 @@ func TestInternAnswersShares(t *testing.T) {
 
 // TestDecodeMemo pins the decode-cache contract: a hit returns the memoized
 // struct, the memo is keyed per model (the same bytes may mean different
-// things to different learners), and the nil interner — the
-// DisableInterning configuration — always misses.
+// things to different learners), and the nil interner — what a learner
+// built outside a manager holds — always misses.
 func TestDecodeMemo(t *testing.T) {
 	in := newItemInterner()
 	raw := json.RawMessage(`{"left":1,"right":2}`)
@@ -55,28 +55,6 @@ func TestDecodeMemo(t *testing.T) {
 		t.Error("nil interner hit")
 	}
 	nilIn.putDecoded("join", raw, item{}) // must not panic
-}
-
-// TestDisableInterning checks the rollback knob: a manager built with
-// DisableInterning behaves identically on the wire but retains the caller's
-// item bytes instead of a shared vocabulary.
-func TestDisableInterning(t *testing.T) {
-	mgr := NewManager(Config{DisableInterning: true})
-	s, err := mgr.Create("join", joinTask, CreateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	item := json.RawMessage(`{"left":0,"right":0}`)
-	if _, err := s.Answer([]Answer{{Item: item, Positive: true}}, ReconcileNone); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Snapshot().Answers[0].Item
-	if &got[0] != &item[0] {
-		t.Error("DisableInterning still rewrote the item to a canonical copy")
-	}
-	if st := mgr.Stats(); st.InternItems != 0 {
-		t.Errorf("InternItems = %d, want 0", st.InternItems)
-	}
 }
 
 // TestManagerAnswersInterned checks the wiring: after a live Answer, the

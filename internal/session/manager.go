@@ -73,11 +73,6 @@ type Config struct {
 	// Journal observes every state mutation (write-ahead). Nil keeps the
 	// manager purely in-memory.
 	Journal Journal
-	// DisableInterning turns off the manager-wide item vocabulary (byte
-	// canonicalization and the decode memo) — the pre-interning behavior,
-	// kept as a rollback/measurement knob. Purely an optimization toggle;
-	// sessions behave identically either way.
-	DisableInterning bool
 }
 
 func (c Config) withDefaults() Config {
@@ -171,10 +166,7 @@ type shard struct {
 // NewManager builds a Manager with the given configuration.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, shards: make([]*shard, cfg.Shards)}
-	if !cfg.DisableInterning {
-		m.intern = newItemInterner()
-	}
+	m := &Manager{cfg: cfg, shards: make([]*shard, cfg.Shards), intern: newItemInterner()}
 	for i := range m.shards {
 		m.shards[i] = &shard{m: map[string]*Session{}}
 	}

@@ -50,6 +50,45 @@ func countFormats(payloads [][]byte) (v1, v2 int) {
 	return v1, v2
 }
 
+// v1Journal is a test-only session.Journal that appends every event the way
+// pre-v2 stores did — one framed JSON record per event, no dictionary — so
+// the tests can produce the v1 journals the store still has to read.
+type v1Journal struct{ f *os.File }
+
+func openV1Journal(t *testing.T, dir string) *v1Journal {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &v1Journal{f: f}
+}
+
+func (j *v1Journal) Append(ev session.Event) error {
+	payload, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	_, err = j.f.Write(FrameRecord(nil, payload))
+	return err
+}
+
+// replayV1 recovers dir's journal without opening a Store, so nothing is
+// compacted and a v1 journal stays v1.
+func replayV1(t *testing.T, dir string) []session.Snapshot {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	res := replayJournal(f)
+	if res.tailErr != nil {
+		t.Fatalf("v1 journal torn: %v", res.tailErr)
+	}
+	return res.snaps
+}
+
 // formatRunResult is one scenario run's observable outcome: final snapshot
 // and hypothesis bytes per model.
 type formatRunResult struct {
@@ -58,11 +97,13 @@ type formatRunResult struct {
 }
 
 // runFormatScenario drives one deterministic dialogue against a fresh data
-// dir: resume four fixed-id sessions (one per model learner) under the
-// phase1 journal format, answer twice each, crash, reopen under phase2
-// (whose boot compaction rewrites the journal in phase2's wire format),
-// answer once more each, crash again, and recover. Fixed ids, a pinned
-// clock, and truthful oracles make two runs byte-comparable.
+// dir: resume four fixed-id sessions (one per model learner) with the
+// journal written in the phase1 format, answer twice each, crash, recover
+// and go on in the phase2 format, answer once more each, crash again, and
+// recover. A v1 phase writes through v1Journal and recovers with replayV1;
+// a v2 phase is a real Store, whose boot compaction rewrites the journal as
+// v2 (the in-place upgrade when phase1 was v1). Fixed ids, a pinned clock,
+// and truthful oracles make two runs byte-comparable.
 func runFormatScenario(t *testing.T, phase1, phase2 string) formatRunResult {
 	t.Helper()
 	oracles := crashOracles(t)
@@ -76,8 +117,8 @@ func runFormatScenario(t *testing.T, phase1, phase2 string) formatRunResult {
 	}
 	sort.Strings(models)
 
-	newMgr := func(st *Store) *session.Manager {
-		return session.NewManager(session.Config{Journal: st, CostPerHIT: 0.05, Clock: clock})
+	newMgr := func(j session.Journal) *session.Manager {
+		return session.NewManager(session.Config{Journal: j, CostPerHIT: 0.05, Clock: clock})
 	}
 	answer := func(s *session.Session, model string, n int) {
 		t.Helper()
@@ -97,12 +138,28 @@ func runFormatScenario(t *testing.T, phase1, phase2 string) formatRunResult {
 		}
 	}
 
-	// Phase 1: four sessions two answers deep, then a crash.
-	st, _, err := Open(dir, Options{Fsync: FsyncOff, Format: phase1})
-	if err != nil {
-		t.Fatal(err)
+	// open recovers dir under format and returns the manager's journal, the
+	// recovered sessions, and the crash that abandons the journal.
+	open := func(format string) (session.Journal, []session.Snapshot, func()) {
+		t.Helper()
+		if format == FormatV1 {
+			var snaps []session.Snapshot
+			if _, err := os.Stat(filepath.Join(dir, journalName)); err == nil {
+				snaps = replayV1(t, dir)
+			}
+			j := openV1Journal(t, dir)
+			return j, snaps, func() { j.f.Close() }
+		}
+		st, snaps, err := Open(dir, Options{Fsync: FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, snaps, st.Abandon
 	}
-	mgr := newMgr(st)
+
+	// Phase 1: four sessions two answers deep, then a crash.
+	j, _, crash := open(phase1)
+	mgr := newMgr(j)
 	for _, model := range models {
 		s, err := mgr.Resume(session.Snapshot{
 			ID: "fmt-" + model, Model: model, Task: tasks[model],
@@ -113,15 +170,17 @@ func runFormatScenario(t *testing.T, phase1, phase2 string) formatRunResult {
 		}
 		answer(s, model, 2)
 	}
-	st.Abandon()
+	crash()
+	if phase1 == FormatV1 {
+		if v1Count, v2Count := countFormats(journalPayloads(t, dir)); v2Count != 0 || v1Count == 0 {
+			t.Fatalf("phase-1 v1 journal: %d v1 / %d v2 records, want pure v1", v1Count, v2Count)
+		}
+	}
 
 	// Phase 2: reopen under phase2's format — when phase1 was v1 and phase2
 	// is v2 this is the in-place upgrade — and go one answer deeper.
-	st2, snaps, err := Open(dir, Options{Fsync: FsyncOff, Format: phase2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr2 := newMgr(st2)
+	j2, snaps, crash2 := open(phase2)
+	mgr2 := newMgr(j2)
 	if n, err := mgr2.Recover(snaps); n != len(models) || err != nil {
 		t.Fatalf("phase-2 recover = %d, %v (want %d)", n, err, len(models))
 	}
@@ -132,7 +191,7 @@ func runFormatScenario(t *testing.T, phase1, phase2 string) formatRunResult {
 		}
 		answer(s, model, 1)
 	}
-	st2.Abandon()
+	crash2()
 
 	if phase2 == FormatV2 {
 		// The upgrade must be real: after the v2 boot compaction every
@@ -145,12 +204,9 @@ func runFormatScenario(t *testing.T, phase1, phase2 string) formatRunResult {
 	}
 
 	// Final recovery: what an operator gets back after the whole history.
-	st3, snaps3, err := Open(dir, Options{Fsync: FsyncOff, Format: phase2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	mgr3 := newMgr(st3)
+	j3, snaps3, crash3 := open(phase2)
+	defer crash3()
+	mgr3 := newMgr(j3)
 	if n, err := mgr3.Recover(snaps3); n != len(models) || err != nil {
 		t.Fatalf("final recover = %d, %v (want %d)", n, err, len(models))
 	}
@@ -209,35 +265,6 @@ func TestPureV2Scenario(t *testing.T) {
 	}
 }
 
-// TestV1PinStaysV1 pins the rollback escape hatch: a store opened with
-// -store-format=v1 must never write a v2 byte, even through compaction.
-func TestV1PinStaysV1(t *testing.T) {
-	dir := t.TempDir()
-	st, _, err := Open(dir, Options{Fsync: FsyncOff, Format: FormatV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := session.NewManager(session.Config{Journal: st, CostPerHIT: 0.05})
-	s, err := mgr.Create("join", joinTask, session.CreateOptions{MaxCost: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Answer([]session.Answer{
-		{Item: json.RawMessage(`{"left":0,"right":0}`), Positive: true},
-	}, session.ReconcileNone); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact([]session.Snapshot{s.Snapshot()}); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	for i, p := range journalPayloads(t, dir) {
-		if codec.IsV2(p) || !json.Valid(p) {
-			t.Fatalf("record %d of a v1-pinned journal is not JSON: %q", i, p)
-		}
-	}
-}
-
 // TestJournalDump smoke-tests the forensics path on a mixed-format journal.
 func TestJournalDump(t *testing.T) {
 	var journal bytes.Buffer
@@ -248,9 +275,7 @@ func TestJournalDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := appendRecord(&journal, v1Payload); err != nil {
-		t.Fatal(err)
-	}
+	journal.Write(FrameRecord(nil, v1Payload))
 	enc := codec.NewEncoder()
 	buf, dictEnd, err := enc.EncodeEvent(nil, session.Event{
 		Kind: session.EventAnswers, ID: "s1", HITs: 1, Cost: 0.05,

@@ -11,7 +11,7 @@ import (
 )
 
 // replayResult is what reading a journal yields: the surviving session
-// states plus enough forensics for the /metrics store block.
+// states plus enough forensics for the store's Stats.
 type replayResult struct {
 	// snaps are the live sessions at the end of the journal, oldest first.
 	snaps []session.Snapshot

@@ -1,8 +1,9 @@
 // Package store is the durable session store behind querylearnd: an
 // append-only write-ahead journal of session events (create, resume,
-// answers-applied, delete, evict) with length-prefixed CRC-checked JSON
-// records, group-commit fsync, and compaction that rewrites the log as one
-// snapshot record per live session plus a tail of newer events.
+// answers-applied, delete, evict) with length-prefixed CRC-checked binary
+// records (internal/codec), group-commit fsync, and compaction that rewrites
+// the log as one snapshot record per live session plus a tail of newer
+// events.
 //
 // The layering mirrors janus-datalog's "streaming engine over a simple
 // durable log" shape rather than bolting a database on: internal/session's
@@ -31,7 +32,6 @@ package store
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -53,23 +53,17 @@ const (
 	FsyncAlways  = "always"
 )
 
-// Journal formats for Options.Format. Reads are format-agnostic either way
-// (the journal dispatches per record: '{' is a v1 JSON event, anything else
-// is a v2 codec frame); the format only chooses what NEW records look like.
+// Journal record formats, as journal-dump labels them. Reads dispatch per
+// record ('{' is a v1 JSON event, anything else a v2 codec frame), so one
+// file may mix both; every record the store writes is v2.
 const (
-	// FormatV1 writes JSON records — the PR 7 wire format, kept as the
-	// rollback escape hatch (-store-format=v1 on querylearnd).
+	// FormatV1 is the JSON record format of older journals. It is only read:
+	// opening a v1 directory upgrades it in place, because the boot-time
+	// compaction rewrites every record as v2.
 	FormatV1 = "v1"
-	// FormatV2 writes binary codec frames with a per-file string intern
-	// table (the default). Opening a v1 directory under v2 upgrades it in
-	// place: the boot-time compaction rewrites every record as v2.
+	// FormatV2 is the binary codec frame with a per-file string intern table.
 	FormatV2 = "v2"
 )
-
-// FormatEnv is consulted when Options.Format is empty, so the whole test
-// suite can be re-run against v1 (make test-v1) without threading a flag
-// through every helper.
-const FormatEnv = "QUERYLEARN_STORE_FORMAT"
 
 // journal file names inside the data directory.
 const (
@@ -98,13 +92,9 @@ type Options struct {
 	// histogram, journal-lag/bytes/degraded gauges, and the codec's
 	// bytes/intern-table instruments under querylearn_store_* and
 	// querylearn_codec_*. Sharing one registry with the server puts store and
-	// HTTP metrics in the same /metrics?format=prometheus scrape. Nil
-	// disables instrumentation.
+	// HTTP metrics in the same /metrics scrape. Nil disables
+	// instrumentation.
 	Obs *obs.Registry
-	// Format selects the journal wire format for new records: FormatV2
-	// (default) or FormatV1. Empty falls back to the FormatEnv environment
-	// variable, then to FormatV2.
-	Format string
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -118,17 +108,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.BatchWindow <= 0 {
 		o.BatchWindow = 5 * time.Millisecond
-	}
-	if o.Format == "" {
-		o.Format = os.Getenv(FormatEnv)
-	}
-	switch o.Format {
-	case "":
-		o.Format = FormatV2
-	case FormatV1, FormatV2:
-	default:
-		return o, fmt.Errorf("store: unknown journal format %q (want %q or %q)",
-			o.Format, FormatV1, FormatV2)
 	}
 	return o, nil
 }
@@ -199,10 +178,10 @@ type Store struct {
 	recovered   RecoveryStats
 	lastComp    *CompactionStats
 
-	// enc is the v2 journal encoder for the CURRENT file generation (nil in
-	// v1 mode); each rewrite starts a fresh one, since the new file defines
-	// its own dictionary from scratch. Guarded by mu. encBuf and recBuf are
-	// its reused payload and record-framing buffers: the steady-state append
+	// enc is the journal encoder for the CURRENT file generation; each
+	// rewrite starts a fresh one, since the new file defines its own
+	// dictionary from scratch. Guarded by mu. encBuf and recBuf are its
+	// reused payload and record-framing buffers: the steady-state append
 	// path allocates nothing.
 	enc    *codec.Encoder
 	encBuf []byte
@@ -239,7 +218,8 @@ type CompactionStats struct {
 	BytesAfter  int64     `json:"bytes_after"`
 }
 
-// Stats is the store's status block for /metrics and /healthz.
+// Stats is the store's status snapshot: /healthz embeds part of it and the
+// server exposes its counters as querylearn_store_* gauges.
 type Stats struct {
 	Dir   string `json:"dir"`
 	Fsync string `json:"fsync"`
@@ -279,8 +259,9 @@ func Open(dir string, opts Options) (*Store, []session.Snapshot, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	// Declare every injection point up front so the chaos suite and /metrics
-	// see the full set even before any is crossed. Nil registry: no-op.
+	// Declare every injection point up front so the chaos suite and the
+	// fault counters see the full set even before any is crossed. Nil
+	// registry: no-op.
 	opts.Faults.Register(InjectionPoints()...)
 	lock, err := lockDir(dir)
 	if err != nil {
@@ -362,73 +343,46 @@ func (st *Store) rewrite(snaps []session.Snapshot) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	w := st.faultW(tmp, PointCompactWrite)
-	var size, records int64
+	var size int64
 	// A fresh per-file encoder: the rewrite defines the new file's
 	// dictionary from scratch (only installed as st.enc once the rename
 	// succeeds). This is also the v1→v2 upgrade path — whatever format the
-	// old records were, the rewrite emits the configured one.
-	var enc *codec.Encoder
-	writeOne := func(payload []byte, encErr error) error {
-		err := encErr
-		if err == nil {
-			var n int64
-			n, err = appendRecord(w, payload)
-			size += n
-		}
+	// old records were, the rewrite emits v2.
+	enc := codec.NewEncoder()
+	// Two passes so the whole dictionary forms one section at the head of
+	// the file: first encode every snapshot event (interning all strings),
+	// then emit the dictionary frames followed by the event frames.
+	events := make([][]byte, 0, len(snaps))
+	dicts := make([][]byte, 0, 1)
+	for i := range snaps {
+		buf, dictEnd, err := enc.EncodeEvent(nil, session.Event{
+			Kind: session.EventSnapshot, ID: snaps[i].ID, Snapshot: &snaps[i],
+		})
 		if err != nil {
 			tmp.Close()
 			os.Remove(scratch)
-			return fmt.Errorf("store: writing compacted journal: %w", err)
+			return fmt.Errorf("store: encoding compacted journal: %w", err)
 		}
-		return nil
+		enc.Commit()
+		if dictEnd > 0 {
+			dicts = append(dicts, buf[:dictEnd:dictEnd])
+		}
+		events = append(events, buf[dictEnd:])
 	}
-	if st.opts.Format == FormatV2 {
-		enc = codec.NewEncoder()
-		// Two passes so the whole dictionary forms one section at the head
-		// of the file: first encode every snapshot event (interning all
-		// strings), then emit the dictionary frames followed by the event
-		// frames.
-		events := make([][]byte, 0, len(snaps))
-		dicts := make([][]byte, 0, 1)
-		for i := range snaps {
-			buf, dictEnd, err := enc.EncodeEvent(nil, session.Event{
-				Kind: session.EventSnapshot, ID: snaps[i].ID, Snapshot: &snaps[i],
-			})
+	for _, section := range [2][][]byte{dicts, events} {
+		for _, payload := range section {
+			n, err := appendRecord(w, payload)
+			size += n
 			if err != nil {
 				tmp.Close()
 				os.Remove(scratch)
-				return fmt.Errorf("store: encoding compacted journal: %w", err)
-			}
-			enc.Commit()
-			if dictEnd > 0 {
-				dicts = append(dicts, buf[:dictEnd:dictEnd])
-			}
-			events = append(events, buf[dictEnd:])
-		}
-		for _, payload := range dicts {
-			if err := writeOne(payload, nil); err != nil {
-				return err
+				return fmt.Errorf("store: writing compacted journal: %w", err)
 			}
 		}
-		for _, payload := range events {
-			if err := writeOne(payload, nil); err != nil {
-				return err
-			}
-		}
-		if st.bytesOut != nil {
-			st.bytesOut.Add(size - int64(len(dicts)+len(events))*recordHeaderSize)
-		}
-		records = int64(len(dicts) + len(events))
-	} else {
-		for i := range snaps {
-			payload, err := json.Marshal(session.Event{
-				Kind: session.EventSnapshot, ID: snaps[i].ID, Snapshot: &snaps[i],
-			})
-			if err := writeOne(payload, err); err != nil {
-				return err
-			}
-		}
-		records = int64(len(snaps))
+	}
+	records := int64(len(dicts) + len(events))
+	if st.bytesOut != nil {
+		st.bytesOut.Add(size - records*recordHeaderSize)
 	}
 	// The rewrite is always fsynced, whatever the append mode: it is the
 	// one copy of every session it contains.
@@ -484,7 +438,7 @@ func (st *Store) rewrite(snaps []session.Snapshot) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	st.f = f
-	st.enc = enc // fresh dictionary for the new file generation (nil in v1 mode)
+	st.enc = enc // fresh dictionary for the new file generation
 	st.baseBytes = size
 	st.tailBytes = 0
 	st.tailEvents = 0
@@ -594,14 +548,6 @@ func (st *Store) Append(ev session.Event) error { return st.AppendTraced(ev, nil
 // group-commit wait is recorded as the fsync.wait phase, separating "the
 // disk was slow" from "the write itself was slow" in slow-request logs.
 func (st *Store) AppendTraced(ev session.Event, tr *obs.Trace) error {
-	var payload []byte
-	if st.opts.Format == FormatV1 {
-		var err error
-		payload, err = json.Marshal(ev)
-		if err != nil {
-			return fmt.Errorf("store: encoding %s event: %w", ev.Kind, err)
-		}
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -610,46 +556,37 @@ func (st *Store) AppendTraced(ev session.Event, tr *obs.Trace) error {
 	if st.appendErr != nil {
 		return fmt.Errorf("store: journal poisoned by earlier write failure: %w", st.appendErr)
 	}
-	var n, nrec int64
+	// Encode under mu (the encoder's intern table is per-file state) and
+	// frame the dictionary-extension record, if any, together with the event
+	// record into ONE write: either both land or the rollback truncation
+	// below removes both, keeping the file and the encoder's Commit/Rollback
+	// in lockstep.
+	encStart := time.Now()
+	var dictEnd int
 	var err error
-	if st.opts.Format == FormatV2 {
-		// Encode under mu (the encoder's intern table is per-file state) and
-		// frame the dictionary-extension record, if any, together with the
-		// event record into ONE write: either both land or the rollback
-		// truncation below removes both, keeping the file and the encoder's
-		// Commit/Rollback in lockstep.
-		encStart := time.Now()
-		var dictEnd int
-		st.encBuf, dictEnd, err = st.enc.EncodeEvent(st.encBuf[:0], ev)
-		if err != nil {
-			return fmt.Errorf("store: encoding %s event: %w", ev.Kind, err)
-		}
-		rec := st.recBuf[:0]
-		nrec = 1
-		if dictEnd > 0 {
-			rec = frameRecord(rec, st.encBuf[:dictEnd])
-			nrec = 2
-		}
-		rec = frameRecord(rec, st.encBuf[dictEnd:])
-		st.recBuf = rec
-		observe(st.encodeHist, time.Since(encStart))
-		writeStart := time.Now()
-		_, err = st.faultW(st.f, PointAppend).Write(rec)
-		observe(st.appendHist, time.Since(writeStart))
-		if err == nil {
-			n = int64(len(rec))
-			st.enc.Commit()
-			if st.bytesOut != nil {
-				st.bytesOut.Add(int64(len(st.encBuf)))
-			}
-		} else {
-			st.enc.Rollback()
+	st.encBuf, dictEnd, err = st.enc.EncodeEvent(st.encBuf[:0], ev)
+	if err != nil {
+		return fmt.Errorf("store: encoding %s event: %w", ev.Kind, err)
+	}
+	rec := st.recBuf[:0]
+	nrec := int64(1)
+	if dictEnd > 0 {
+		rec = frameRecord(rec, st.encBuf[:dictEnd])
+		nrec = 2
+	}
+	rec = frameRecord(rec, st.encBuf[dictEnd:])
+	st.recBuf = rec
+	observe(st.encodeHist, time.Since(encStart))
+	writeStart := time.Now()
+	_, err = st.faultW(st.f, PointAppend).Write(rec)
+	observe(st.appendHist, time.Since(writeStart))
+	if err == nil {
+		st.enc.Commit()
+		if st.bytesOut != nil {
+			st.bytesOut.Add(int64(len(st.encBuf)))
 		}
 	} else {
-		nrec = 1
-		writeStart := time.Now()
-		n, err = appendRecord(st.faultW(st.f, PointAppend), payload)
-		observe(st.appendHist, time.Since(writeStart))
+		st.enc.Rollback()
 	}
 	if err != nil {
 		// A partial write leaves a torn record mid-file; anything appended
@@ -671,7 +608,7 @@ func (st *Store) AppendTraced(ev session.Event, tr *obs.Trace) error {
 		return fmt.Errorf("store: appending %s event: %w", ev.Kind, err)
 	}
 	st.appended++
-	st.tailBytes += n
+	st.tailBytes += int64(len(rec))
 	st.tailEvents++
 	st.fileRecords += nrec
 	st.notifyCursorLocked()

@@ -10,7 +10,7 @@
 // The original XMark generator is a C program emitting gigabytes of
 // auction data; this package substitutes a deterministic Go generator that
 // preserves the element structure, nesting, and multiplicity distributions
-// the learning experiments depend on (see DESIGN.md, substitutions).
+// the learning experiments depend on.
 package xmark
 
 import (

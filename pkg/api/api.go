@@ -25,10 +25,8 @@
 //	GET    /v1/sessions/{id}/snapshot     persistable session state
 //	DELETE /v1/sessions/{id}              evict
 //
-// The pre-v1 unversioned routes remain as thin aliases that answer
-// identically but carry a "Deprecation: true" header and a Link to their
-// /v1 successor; they accept lax request bodies (unknown fields ignored)
-// for old clients, while /v1 rejects unknown fields.
+// Unversioned session paths answer 404. Request bodies are decoded
+// strictly: unknown fields are rejected.
 //
 // # Errors
 //
@@ -72,9 +70,6 @@ const (
 	// IdempotencyReplayedHeader marks a response that was replayed from the
 	// idempotency store rather than executed.
 	IdempotencyReplayedHeader = "Idempotency-Replayed"
-	// DeprecationHeader is set to "true" on responses served by a legacy
-	// unversioned route; the Link header names the /v1 successor.
-	DeprecationHeader = "Deprecation"
 	// RetryAfterHeader accompanies 429 and 503 responses: the seconds a
 	// well-behaved client should wait before retrying. The SDK honors it.
 	RetryAfterHeader = "Retry-After"
