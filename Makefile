@@ -24,6 +24,7 @@ bench-check:
 # evaluation core); catches gross perf/correctness regressions in seconds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'NaiveVsFast' -benchtime 50ms -benchmem .
+	$(GO) test -run '^$$' -bench 'EvalPairsGeo' -benchtime 50ms -benchmem ./internal/graphlearn
 
 # Big-graph smoke: create and converge path sessions on 20k/100k-node graphs
 # over /v1 (T14) — keeps the sparse version-space path exercised end to end.
@@ -41,9 +42,13 @@ bench-recovery:
 bench-t19:
 	$(GO) run ./cmd/benchrunner -only T19
 
-# Capture the experiment tables as a JSON perf trajectory (BENCH_*.json).
+# Capture the experiment tables as one step of the per-PR perf trajectory:
+# make bench-json PR=14 writes BENCH_PR14.json. ONLY=T14,T19 restricts the
+# capture to some tables.
 bench-json:
-	$(GO) run ./cmd/benchrunner -json > BENCH_$(shell date +%Y%m%d).json
+	@test -n "$(PR)" || { echo "bench-json: set PR=<number> (writes BENCH_PR<number>.json)"; exit 1; }
+	$(GO) run ./cmd/benchrunner -json $(if $(ONLY),-only $(ONLY)) > BENCH_PR$(PR).json.tmp
+	mv BENCH_PR$(PR).json.tmp BENCH_PR$(PR).json
 
 # Chaos smoke: one kill/recover scenario per registered store injection
 # point (the fault-injection chaos suite) plus the degraded-mode /v1

@@ -9,7 +9,7 @@
 // Scale 1 (default) finishes in seconds; larger scales sweep bigger
 // instances. With -json the tables are emitted as one JSON document
 // (schema below) so per-PR perf trajectories can be captured as
-// BENCH_*.json files:
+// BENCH_PR<n>.json files (make bench-json PR=<n>):
 //
 //	benchrunner -json > BENCH_PR1.json
 package main
@@ -32,6 +32,7 @@ type benchDoc struct {
 	GoOS          string               `json:"goos"`
 	GoArch        string               `json:"goarch"`
 	NumCPU        int                  `json:"num_cpu"`
+	GOMAXPROCS    int                  `json:"gomaxprocs"`
 	Tables        []*experiments.Table `json:"tables"`
 }
 
@@ -61,6 +62,7 @@ func main() {
 			GoOS:          runtime.GOOS,
 			GoArch:        runtime.GOARCH,
 			NumCPU:        runtime.NumCPU(),
+			GOMAXPROCS:    runtime.GOMAXPROCS(0),
 			Tables:        kept,
 		}
 		enc := json.NewEncoder(os.Stdout)

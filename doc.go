@@ -90,9 +90,10 @@
 // cardinality estimates read from structures the engines already hold (CSR
 // degree rows, candidate popcounts, pool sizes), cheapest-first ordering
 // (Pick/PickMin/Order), and a streaming Sink contract with early
-// termination. graph.EvalPairs picks forward or backward product BFS per
-// source group from frontier estimates (deduplicating backward runs across
-// groups), rellearn's semijoin search re-ranks witness families per node by
+// termination. graph.EvalPairs puts its 64-lane bit-parallel passes on the
+// pool side with fewer distinct nodes (sources forward, destinations
+// backward), graph.Selects picks a probe's direction from frontier
+// estimates, rellearn's semijoin search re-ranks witness families per node by
 // surviving-candidate popcount, and the graphlearn/session layers consume
 // streamed verdicts so a collapsed candidate pool stops evaluation
 // mid-flight. Decisions surface as querylearn_plan_* metrics and a "plan"
@@ -101,7 +102,7 @@
 //
 // Scale: interactive path sessions run on a sparse, pool-projected version
 // space — candidate membership is interned over the question pool (pool ∪
-// task examples ∪ seed) and evaluated by the source-restricted
+// task examples ∪ seed) and evaluated by the pool-restricted
 // graph.EvalPairs, so per-session memory is O(candidates × pool) bits and
 // the old dense-bitset 4096-node graph cap is gone. Session limits are
 // daemon flags (-path-max-nodes, default one million nodes; -path-pool-limit;

@@ -158,8 +158,8 @@ func TestDifferentialEvalPairsVsEval(t *testing.T) {
 	}
 }
 
-// The parallel EvalPairs path (≥32 distinct sources) must be deterministic
-// and agree with the sequential oracle.
+// The parallel EvalPairs path (several passes of 64 lanes) must be
+// deterministic and agree with the sequential oracle.
 func TestEvalPairsParallelDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := GenerateGeo(13, 200)

@@ -1,7 +1,9 @@
 // Interned-ID evaluation core: a label-indexed CSR adjacency built lazily
 // over the graph, a chain-automaton product BFS over bitset frontiers, a
 // reverse-reachability precomputation that prunes hopeless sources, and a
-// parallel all-pairs Eval that fans sources out over a worker pool.
+// parallel all-pairs Eval that fans sources out over a worker pool. Pool
+// membership (EvalPairs) runs 64 sources per pass over the same CSR (see
+// lanes.go); single-pair probes (Selects) run one sparse product BFS.
 //
 // The learnable path-query class (concatenations of letters and starred
 // letters) yields an NFA whose states form a chain: every transition goes
@@ -11,6 +13,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 
 	"querylearn/internal/bitset"
@@ -127,7 +130,7 @@ func buildCSR(g *Graph, labelIDs map[string]int, nLabels int, reverse bool) []cs
 	for l := range cs {
 		for v := 0; v < n; v++ {
 			row := cs[l].row(v)
-			sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+			slices.Sort(row)
 		}
 	}
 	return cs
@@ -275,14 +278,12 @@ func (g *Graph) Eval(q PathQuery) []Pair {
 	return out
 }
 
-// pairEvaluator is the sparse per-source product-BFS behind EvalPairs: an
-// explicit (node, state) worklist with an epoch-stamped visited array, so
-// each source costs O(configurations reached), never O(n) bitset sweeps per
-// frontier round. The dense evaluator's word-parallel closures win when most
-// of the graph is reachable (all-pairs Eval); for a few thousand pool
-// sources on a huge graph, output-sensitive beats word-parallel by orders of
-// magnitude — chain-shaped subgraphs make the dense closure O(n²/64) per
-// source.
+// pairEvaluator is the sparse single-pair product BFS behind Selects,
+// SelectsMany and Disagree: an explicit (node, state) worklist with an
+// epoch-stamped visited array, so a probe costs O(configurations reached),
+// never O(n) bitset sweeps per frontier round. A single pair has no lanes to
+// share, so it keeps this engine; many pairs go to EvalPairs' bit-parallel
+// passes instead.
 type pairEvaluator struct {
 	g    *Graph
 	ix   *labelIndex
@@ -315,14 +316,6 @@ func newPairEvaluatorPlan(g *Graph, q PathQuery) *pairEvaluator {
 		}
 	}
 	return ev
-}
-
-// fork returns an evaluator sharing the immutable plan with fresh scratch,
-// for use on another goroutine.
-func (ev *pairEvaluator) fork() *pairEvaluator {
-	c := &pairEvaluator{g: ev.g, ix: ev.ix, q: ev.q, lids: ev.lids, k: ev.k}
-	c.visited = make([]uint32, len(ev.visited))
-	return c
 }
 
 // push marks (node, state) and its epsilon closure (skipping starred atoms)
@@ -382,16 +375,14 @@ func (ev *pairEvaluator) selects(dst int) bool {
 }
 
 // EvalPairs reports, for each requested pair, whether the query selects it —
-// the pool-restricted evaluation behind sparse interactive sessions. Work is
-// proportional to the distinct BFS runs the planner schedules: pairs are
-// grouped by source, and each group runs a forward product BFS from its
-// source or — when the frontier estimates price it cheaper — backward
-// product BFSes from its destinations, deduplicated across groups (see
-// planPairTasks in plan.go). With planning disabled the PR 5 behaviour is
-// retained: one forward run per distinct source. Either way the work never
-// touches the n² pair space, so candidate membership over a question pool
-// stays cheap on graphs far beyond the all-pairs regime. Pair node indexes
-// must be valid.
+// the pool-restricted evaluation behind sparse interactive sessions. The
+// pairs' distinct sources ride 64 to a pass through a bit-parallel product
+// BFS that closes starred atoms over the label's strongly connected
+// components (see lanes.go); when the distinct destinations fill fewer
+// passes, the lanes carry destinations backward instead. Work follows the
+// passes and the part of the graph they reach, never the n² pair space, so
+// candidate membership over a question pool stays cheap on graphs far beyond
+// the all-pairs regime. Pair node indexes must be valid.
 func (g *Graph) EvalPairs(q PathQuery, pairs []Pair) []bool {
 	out := make([]bool, len(pairs))
 	g.EvalPairsStream(q, pairs, nil, func(v PairVerdict) bool {

@@ -1,6 +1,8 @@
-// Greedily-planned, streaming evaluation: per-source forward/backward BFS
-// direction choice from frontier-size estimates, and streaming Sink-based
-// result delivery with early termination.
+// Greedily-planned, streaming evaluation: the forward/backward direction of
+// single-pair probes (Selects, SelectsManyStream) from frontier-size
+// estimates, and streaming Sink-based result delivery with early
+// termination. EvalPairsStream's lane side is chosen in lanes.go by counting
+// passes.
 //
 // The estimates are the cheapest numbers already on hand — CSR row lengths
 // (per-label in/out degrees) read straight from the interned index — in the
@@ -8,7 +10,7 @@
 // is a handful of integer reads per operand, and the greedy cheapest-first
 // choice wins because pattern-query work is dominated by the first frontier
 // expansion. QUERYLEARN_NOPLAN (plan.Disabled) reverts every entry point to
-// the fixed forward-only order of the PR 5 engine.
+// its fixed forward order.
 package graph
 
 import (
@@ -111,168 +113,6 @@ func (ev *pairEvaluator) frontierIn(dst int) int {
 		return 1
 	}
 	return 1 + len(ev.ix.in[ev.lids[ev.k-1]].row(dst))
-}
-
-// pairTask is one unit of planned evaluation: a forward BFS from a source
-// (answering every pair sharing it) or a backward BFS from a destination.
-type pairTask struct {
-	node     int
-	indexes  []int // pair indexes this run answers
-	backward bool
-}
-
-// EvalPairsStream is EvalPairs with planner attribution and streaming
-// delivery: verdicts are emitted to the sink as each per-node BFS finishes
-// (order unspecified), and a false return from the sink stops the stream —
-// in-flight runs complete but emit nothing further. rec (nil-safe) receives
-// the planning time and direction decisions for request-trace attribution.
-func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, sink plan.Sink[PairVerdict]) {
-	if len(pairs) == 0 || len(g.nodes) == 0 {
-		return
-	}
-	proto := newPairEvaluator(g, q)
-	tasks := planPairTasks(proto, pairs, rec)
-	runPairTasks(proto, pairs, tasks, sink)
-}
-
-// planPairTasks groups the pairs by source and greedily picks, per group,
-// forward BFS from the source or backward BFS from each of the group's
-// destinations — whichever the frontier estimates price cheaper. Backward
-// runs are deduplicated across groups: one destination shared by many
-// sources costs one run, the shape (many sources probing one hub) where
-// backward evaluation beats the fixed forward order by the group count.
-func planPairTasks(proto *pairEvaluator, pairs []Pair, rec *plan.Recorder) []pairTask {
-	// Group pair indexes by source, preserving first-occurrence order of the
-	// sources for deterministic scheduling.
-	bySrc := make(map[int][]int)
-	var sources []int
-	for i, p := range pairs {
-		if _, ok := bySrc[p.Src]; !ok {
-			sources = append(sources, p.Src)
-		}
-		bySrc[p.Src] = append(bySrc[p.Src], i)
-	}
-	if plan.Disabled() || proto.k == 0 {
-		// Unplanned (or trivial empty-query) path: the PR 5 fixed order, one
-		// forward run per distinct source.
-		tasks := make([]pairTask, len(sources))
-		for i, src := range sources {
-			tasks[i] = pairTask{node: src, indexes: bySrc[src]}
-		}
-		return tasks
-	}
-	done := rec.StartPlan(layerEvalPairs)
-	var tasks []pairTask
-	byDst := make(map[int][]int) // dst -> pair indexes answered backward
-	var dsts []int
-	forward, backward := 0, 0
-	for _, src := range sources {
-		idxs := bySrc[src]
-		fc := proto.frontierOut(src)
-		bc := 0
-		for _, i := range idxs {
-			d := pairs[i].Dst
-			if shared := byDst[d]; len(shared) > 0 {
-				continue // a backward run for d is already paid for
-			}
-			bc += proto.frontierIn(d)
-			if bc >= fc {
-				break // already at least as expensive as forward
-			}
-		}
-		// bc == 0 means every destination already has a backward run
-		// scheduled: answering this group backward is free piggybacking.
-		if fc <= bc {
-			tasks = append(tasks, pairTask{node: src, indexes: idxs})
-			forward++
-			continue
-		}
-		for _, i := range idxs {
-			d := pairs[i].Dst
-			if _, ok := byDst[d]; !ok {
-				dsts = append(dsts, d)
-			}
-			byDst[d] = append(byDst[d], i)
-		}
-		backward++
-	}
-	for _, d := range dsts {
-		tasks = append(tasks, pairTask{node: d, indexes: byDst[d], backward: true})
-	}
-	done()
-	rec.Decide(layerEvalPairs, "forward", forward)
-	rec.Decide(layerEvalPairs, "backward", backward)
-	return tasks
-}
-
-// runPairTasks executes the planned runs — in parallel past a handful of
-// tasks — streaming each run's verdicts to the sink. Emission is serialized
-// under a mutex; a false sink return sets the stop flag and workers exit at
-// their next task claim.
-func runPairTasks(proto *pairEvaluator, pairs []Pair, tasks []pairTask, sink plan.Sink[PairVerdict]) {
-	probe := func(ev *pairEvaluator, t pairTask, emit func(PairVerdict) bool) bool {
-		if t.backward {
-			ev.runBack(t.node)
-			for _, i := range t.indexes {
-				if !emit(PairVerdict{Index: i, Selected: ev.coselects(pairs[i].Src)}) {
-					return false
-				}
-			}
-			return true
-		}
-		ev.run(t.node)
-		for _, i := range t.indexes {
-			if !emit(PairVerdict{Index: i, Selected: ev.selects(pairs[i].Dst)}) {
-				return false
-			}
-		}
-		return true
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 || len(tasks) < 32 {
-		for _, t := range tasks {
-			if !probe(proto, t, sink) {
-				return
-			}
-		}
-		return
-	}
-	var stop atomic.Bool
-	var mu sync.Mutex
-	emit := func(v PairVerdict) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if stop.Load() {
-			return false
-		}
-		if !sink(v) {
-			stop.Store(true)
-			return false
-		}
-		return true
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := proto.fork()
-			for !stop.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				if !probe(ev, tasks[i], emit) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // EvalStream evaluates the query over the whole graph, streaming the

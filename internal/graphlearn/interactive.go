@@ -37,10 +37,11 @@ func (o GoalOracle) LabelPair(src, dst int) bool { return o.G.Selects(o.Goal, sr
 // pool-projected and sparse: only the pairs that can ever be probed — the
 // candidate pool, the seed, and any pair an answer later names — are
 // interned into a compact pair-index universe, and each candidate's
-// membership is a |universe|-bit set filled by the source-restricted
+// membership is a |universe|-bit set filled by the pool-restricted
 // graph.EvalPairs. Session memory is therefore O(candidates · |pool|) bits
-// and creation runs one product BFS per distinct pool source, independent of
-// the n² pair space that capped earlier versions at a few thousand nodes.
+// and creation runs one bit-parallel pass per 64 distinct pool sources (or
+// destinations), independent of the n² pair space that capped earlier
+// versions at a few thousand nodes.
 type Session struct {
 	G          *graph.Graph
 	Candidates []graph.PathQuery
@@ -100,7 +101,7 @@ type LabeledPair struct {
 // NewSessionExamples is NewSessionProbes fused with the example replay: the
 // example labels are applied to the candidate space before the pool-wide
 // membership evaluation, so a candidate a replayed answer eliminates never
-// pays a pool-sized BFS — the collapsed version space stops evaluation
+// pays a pool-sized evaluation — the collapsed version space stops evaluation
 // mid-flight. The final session state is identical to NewSessionProbes
 // followed by Record of each example (per-pair verdicts are independent of
 // the batch they are computed in); QUERYLEARN_NOPLAN literally takes that
@@ -390,10 +391,12 @@ func Run(g *graph.Graph, seed graph.Pair, pool []graph.Pair, oracle Oracle, stra
 // DefaultPool returns the candidate pairs a user could reasonably be shown:
 // every connected pair with a shortest path of at most maxLen edges, capped
 // at limit pairs (0 = no cap). Sources are interleaved deterministically —
-// round-robin, one pair per source per round, over lazily advanced
-// per-source BFS frontiers — so a truncating limit samples pairs from across
-// the whole graph instead of exhausting the lowest-index sources first (the
-// bias that skewed big-graph sessions).
+// round-robin in node order, one pair per source per round, over lazily
+// advanced per-source BFS frontiers — so a truncating limit spreads the
+// pool over many sources instead of exhausting the lowest-index sources
+// first. The spread is not a sample of the whole graph: when at least limit
+// sources have a pair (as on any graph with many more nodes than limit), the
+// pool is the first pair of each of the first limit such sources.
 func DefaultPool(g *graph.Graph, maxLen, limit int) []graph.Pair {
 	n := g.NumNodes()
 	var out []graph.Pair

@@ -14,7 +14,8 @@ import (
 // FuzzPlanEquivalence drives randomized instances through the planned and
 // unplanned evaluation paths and requires identical observable results: the
 // planner may reorder work, never change answers. The graph arm compares
-// EvalPairs verdicts planned vs fixed-order vs the PR 1 naive oracle; the
+// EvalPairs verdicts planned (lanes on the side with fewer passes) vs forward
+// lanes vs the PR 1 naive oracle; the
 // semijoin arm compares the consistency decision planned vs static vs naive
 // and property-checks any returned predicate against the examples (the
 // planned search may return a different — but equally consistent — witness
@@ -42,7 +43,8 @@ func lcg(x int64) func(mod int) int {
 }
 
 func fuzzGraphArm(t *testing.T, seed int64, n, qs uint8, pairSeed int64) {
-	nodes := 2 + int(n)%40
+	// Up to 384 nodes and 400 pairs, so pools span several 64-lane passes.
+	nodes := 2 + int(n)*3/2
 	g := graph.GenerateGeo(seed, nodes)
 
 	labels := []string{"highway", "road", "ferry", "train"}
@@ -64,7 +66,7 @@ func fuzzGraphArm(t *testing.T, seed int64, n, qs uint8, pairSeed int64) {
 	}
 
 	next := lcg(pairSeed)
-	pairs := make([]graph.Pair, 1+next(16))
+	pairs := make([]graph.Pair, 1+next(400))
 	for i := range pairs {
 		pairs[i] = graph.Pair{Src: next(nodes), Dst: next(nodes)}
 	}

@@ -186,9 +186,8 @@ func (r *Recorder) Drain() (time.Duration, []Decision, int) {
 }
 
 // Pick returns the index in [0, n) maximizing score, first-wins on ties —
-// the one greedy selection rule every consumer shares (witness choice in
-// the semijoin approximation, direction choice per source group). Returns
-// -1 when n == 0.
+// the greedy selection rule behind the witness choice in the semijoin
+// approximation. Returns -1 when n == 0.
 func Pick(n int, score func(int) int) int {
 	best, bestScore := -1, 0
 	for i := 0; i < n; i++ {

@@ -21,8 +21,9 @@ type pathItem struct {
 // positive example seeds the candidate space; further task examples are
 // replayed as answers. The session's version space is pool-projected and
 // sparse (see internal/graphlearn): memory is O(candidates · pool pairs) and
-// creation runs one product BFS per distinct pool source, so graphs far
-// beyond the old dense-bitset 4096-node ceiling are served. The effective
+// creation runs one bit-parallel product pass per 64 distinct pool sources
+// (or destinations), so graphs far beyond the old dense-bitset 4096-node
+// ceiling are served. The effective
 // pool shape and node cap come from the Limits the caller resolved (daemon
 // flags, optionally tightened per request).
 type pathLearner struct {
