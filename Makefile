@@ -16,15 +16,19 @@ vet:
 
 # The benchmark (bench/) is a module of its own that imports internal
 # packages, so the root build and tests never compile it: vet it and run its
-# short tests here, or an internal API change can break it unnoticed.
+# tests here, or an internal API change can break it unnoticed. Without
+# -short they include the workload smoke, which runs every workload against
+# a built querylearnd (~30 s on 2 vCPUs), so a run-time break shows here
+# before the benchmark does.
 bench-check:
-	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick sanity pass over the tentpole benchmarks (naive vs optimized
 # evaluation core); catches gross perf/correctness regressions in seconds.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'NaiveVsFast' -benchtime 50ms -benchmem .
 	$(GO) test -run '^$$' -bench 'EvalPairsGeo' -benchtime 50ms -benchmem ./internal/graphlearn
+	$(GO) test -run '^$$' -bench '^BenchmarkEval$$' -benchtime 50ms -benchmem ./internal/graph
 
 # Big-graph smoke: create and converge path sessions on 20k/100k-node graphs
 # over /v1 (T14) — keeps the sparse version-space path exercised end to end.
@@ -37,8 +41,8 @@ bench-recovery:
 	$(GO) run ./cmd/benchrunner -only T17
 
 # Planned-evaluation benchmark (T19): the greedy planning layer against the
-# PR 5 fixed-order and PR 1 naive engines on the hub-pair and high-arity
-# semijoin workloads — the planner's perf gate.
+# naive oracles on the hub-pair and high-arity semijoin workloads — the
+# planner's perf gate.
 bench-t19:
 	$(GO) run ./cmd/benchrunner -only T19
 

@@ -89,7 +89,7 @@
 // internal/plan is the shared greedy planning layer — constant-time
 // cardinality estimates read from structures the engines already hold (CSR
 // degree rows, candidate popcounts, pool sizes), cheapest-first ordering
-// (Pick/PickMin/Order), and a streaming Sink contract with early
+// (Pick/Order), and a streaming Sink contract with early
 // termination. graph.EvalPairs puts its 64-lane bit-parallel passes on the
 // pool side with fewer distinct nodes (sources forward, destinations
 // backward), graph.Selects picks a probe's direction from frontier
@@ -97,8 +97,9 @@
 // surviving-candidate popcount, and the graphlearn/session layers consume
 // streamed verdicts so a collapsed candidate pool stops evaluation
 // mid-flight. Decisions surface as querylearn_plan_* metrics and a "plan"
-// request-trace phase; QUERYLEARN_NOPLAN=1 reverts every consumer to its
-// fixed pre-planning order. See README.md's "Query planning".
+// request-trace phase. There is no planning switch: the naive oracles are
+// the unplanned reference the differential tests compare against. See
+// README.md's "Query planning".
 //
 // Scale: interactive path sessions run on a sparse, pool-projected version
 // space — candidate membership is interned over the question pool (pool ∪

@@ -49,7 +49,23 @@ func pairsEqual(a, b []Pair) bool {
 	return true
 }
 
+// evalFrom is Eval restricted to one source: its destinations, ascending.
+func evalFrom(g *Graph, q PathQuery, src int) []int {
+	var out []int
+	for _, p := range g.Eval(q) {
+		if p.Src == src {
+			out = append(out, p.Dst)
+		}
+	}
+	return out
+}
+
+// Eval must equal the naive oracle, order included, on random graphs and
+// queries, and across pass boundaries (63/64/65/128/129 sources) on graphs
+// with star closures over cycles and self-loops, starred first and last
+// atoms, absent plain and starred labels, and the empty query.
 func TestDifferentialEvalVsNaive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	labels := []string{"a", "b", "c"}
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,15 +79,27 @@ func TestDifferentialEvalVsNaive(t *testing.T) {
 				t.Fatalf("seed %d query %s: Eval fast %v != naive %v", seed, q, fast, naive)
 			}
 			src := rng.Intn(n)
-			ff := g.EvalFrom(q, src)
-			nf := g.EvalFromNaive(q, src)
-			if len(ff) != len(nf) {
-				t.Fatalf("seed %d query %s src %d: EvalFrom fast %v != naive %v", seed, q, src, ff, nf)
+			if ff, nf := evalFrom(g, q, src), g.EvalFromNaive(q, src); fmt.Sprint(ff) != fmt.Sprint(nf) {
+				t.Fatalf("seed %d query %s src %d: Eval from src %v != naive %v", seed, q, src, ff, nf)
 			}
-			for i := range ff {
-				if ff[i] != nf[i] {
-					t.Fatalf("seed %d query %s src %d: EvalFrom fast %v != naive %v", seed, q, src, ff, nf)
-				}
+		}
+	}
+	queries := []string{
+		"", "a", "a*", "c", "c.a*", "a*.b", "b.a*", "a*.b*", "c*.a.b*.a*", "a.b.c",
+		"z", "z*", "c.z", "a.z*", "z*.a*", "a*.z.b", "a*.b*.c*.a*",
+	}
+	for _, n := range []int{63, 64, 65, 128, 129} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := laneGraph(rng, n)
+		// A c-edge out of every node: plain c-first queries have n sources too.
+		for v := 0; v < n; v++ {
+			g.AddEdge(fmt.Sprintf("n%d", v), "c", fmt.Sprintf("n%d", rng.Intn(n)))
+		}
+		for _, qs := range queries {
+			q := MustParsePathQuery(qs)
+			if fast, naive := g.Eval(q), g.EvalNaive(q); !pairsEqual(fast, naive) {
+				t.Fatalf("n=%d query %q: Eval (%d pairs) != naive (%d pairs), or out of order",
+					n, qs, len(fast), len(naive))
 			}
 		}
 	}
@@ -239,10 +267,12 @@ func TestIndexInvalidationOnMutation(t *testing.T) {
 }
 
 // Concurrent queries on a quiescent graph must be safe: the lazy index
-// build is the only write and is mutex-guarded (run under -race).
+// build is mutex-guarded and every call's passes, fanned out over several
+// workers, draw their own pooled scratch (run under -race).
 func TestConcurrentQueriesShareIndex(t *testing.T) {
-	g := GenerateGeo(9, 80)
-	q := MustParsePathQuery("highway.road*")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := GenerateGeo(9, 300)
+	q := MustParsePathQuery("road*.highway")
 	done := make(chan []Pair, 8)
 	for w := 0; w < 8; w++ {
 		go func() { done <- g.Eval(q) }()

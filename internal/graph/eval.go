@@ -1,14 +1,13 @@
 // Interned-ID evaluation core: a label-indexed CSR adjacency built lazily
-// over the graph, a chain-automaton product BFS over bitset frontiers, a
-// reverse-reachability precomputation that prunes hopeless sources, and a
-// parallel all-pairs Eval that fans sources out over a worker pool. Pool
-// membership (EvalPairs) runs 64 sources per pass over the same CSR (see
-// lanes.go); single-pair probes (Selects) run one sparse product BFS.
+// over the graph, one engine per job over it. All-pairs Eval and pool
+// membership (EvalPairs) carry 64 sources per pass through a bit-parallel
+// product BFS (lanes.go); single-pair probes (Selects) run one sparse product
+// BFS over an epoch-stamped (node, state) worklist.
 //
 // The learnable path-query class (concatenations of letters and starred
 // letters) yields an NFA whose states form a chain: every transition goes
 // from state s to s or s+1. Reachable-node sets can therefore be computed
-// state by state with dense bitsets instead of a (node, state) hash map —
+// state by state over per-node masks instead of a (node, state) hash map —
 // the representation shift that makes the T8/F1 hot path fast.
 package graph
 
@@ -134,148 +133,6 @@ func buildCSR(g *Graph, labelIDs map[string]int, nLabels int, reverse bool) []cs
 		}
 	}
 	return cs
-}
-
-// evaluator carries the per-query immutable plan (label ids and the
-// backward can-accept sets) plus reusable per-worker scratch frontiers.
-type evaluator struct {
-	g    *Graph
-	ix   *labelIndex
-	q    PathQuery
-	lids []int // label id per atom, -1 when the label is absent
-	// canAccept[s]: nodes v such that some accepting run starts at (v, s).
-	// canAccept[0] is exactly the useful source set.
-	canAccept []*bitset.Set
-	// Scratch, one instance per worker (see fork).
-	states         []*bitset.Set
-	frontier, next *bitset.Set
-}
-
-func newEvaluator(g *Graph, q PathQuery) *evaluator {
-	ix := g.index()
-	n := len(g.nodes)
-	k := len(q.Atoms)
-	ev := &evaluator{g: g, ix: ix, q: q, lids: make([]int, k)}
-	for i, a := range q.Atoms {
-		if id, ok := ix.labelIDs[a.Label]; ok {
-			ev.lids[i] = id
-		} else {
-			ev.lids[i] = -1
-		}
-	}
-	ev.frontier, ev.next = bitset.New(n), bitset.New(n)
-	ev.states = make([]*bitset.Set, k+1)
-	for i := range ev.states {
-		ev.states[i] = bitset.New(n)
-	}
-	// Backward pass: every node accepts at state k; walk the chain right to
-	// left over the reverse CSR.
-	ev.canAccept = make([]*bitset.Set, k+1)
-	acc := bitset.New(n)
-	acc.Fill()
-	ev.canAccept[k] = acc
-	for s := k - 1; s >= 0; s-- {
-		cur := bitset.New(n)
-		lid := ev.lids[s]
-		if q.Atoms[s].Star {
-			// (v,s) accepts iff some a-path (possibly empty) leads to a
-			// node accepting at s+1: backward closure over reverse edges.
-			cur.Or(ev.canAccept[s+1])
-			if lid >= 0 {
-				ev.closure(cur, ev.ix.in[lid])
-			}
-		} else if lid >= 0 {
-			addSuccessors(cur, ev.canAccept[s+1], ev.ix.in[lid])
-		}
-		ev.canAccept[s] = cur
-	}
-	return ev
-}
-
-// fork returns an evaluator sharing the immutable plan with fresh scratch
-// sets, for use on another goroutine.
-func (ev *evaluator) fork() *evaluator {
-	n := len(ev.g.nodes)
-	c := &evaluator{g: ev.g, ix: ev.ix, q: ev.q, lids: ev.lids, canAccept: ev.canAccept}
-	c.frontier, c.next = bitset.New(n), bitset.New(n)
-	c.states = make([]*bitset.Set, len(ev.states))
-	for i := range c.states {
-		c.states[i] = bitset.New(n)
-	}
-	return c
-}
-
-// addSuccessors unions into dst the c-successors of every node in src.
-func addSuccessors(dst, src *bitset.Set, c csr) {
-	src.ForEach(func(v int) {
-		for _, t := range c.row(v) {
-			dst.Add(int(t))
-		}
-	})
-}
-
-// closure grows set to its fixpoint under c-edges (frontier BFS).
-func (ev *evaluator) closure(set *bitset.Set, c csr) {
-	ev.frontier.Copy(set)
-	for {
-		ev.next.Clear()
-		addSuccessors(ev.next, ev.frontier, c)
-		ev.next.AndNot(set)
-		if ev.next.Empty() {
-			return
-		}
-		set.Or(ev.next)
-		ev.frontier.Copy(ev.next)
-	}
-}
-
-// run returns the set of nodes reachable from src with the whole query
-// consumed. The returned set aliases the evaluator's scratch space.
-func (ev *evaluator) run(src int) *bitset.Set {
-	k := len(ev.q.Atoms)
-	S := ev.states
-	S[0].Clear()
-	if ev.canAccept[0].Has(src) {
-		S[0].Add(src)
-	}
-	for s := 0; s < k; s++ {
-		lid := ev.lids[s]
-		S[s+1].Clear()
-		if S[s].Empty() {
-			continue
-		}
-		if ev.q.Atoms[s].Star {
-			if lid >= 0 {
-				ev.closure(S[s], ev.ix.out[lid])
-			}
-			S[s+1].Or(S[s])
-		} else if lid >= 0 {
-			addSuccessors(S[s+1], S[s], ev.ix.out[lid])
-		}
-		S[s+1].And(ev.canAccept[s+1])
-	}
-	return S[k]
-}
-
-// EvalFrom returns the node indices reachable from src by a path whose
-// label word is in L(q), sorted ascending.
-func (g *Graph) EvalFrom(q PathQuery, src int) []int {
-	return newEvaluator(g, q).run(src).Slice()
-}
-
-// Eval returns all pairs (src, dst) the query selects on the graph, in
-// (src, dst) ascending order. Sources that cannot start an accepting run
-// are pruned by the backward pass; the surviving sources are evaluated in
-// parallel across a worker pool. Eval is the materializing form of
-// EvalStream (see plan.go), which delivers the same pairs in the same order
-// to a sink with early termination.
-func (g *Graph) Eval(q PathQuery) []Pair {
-	var out []Pair
-	g.EvalStream(q, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
 }
 
 // pairEvaluator is the sparse single-pair product BFS behind Selects,
@@ -428,15 +285,10 @@ func (g *Graph) EvalPairsNaive(q PathQuery, pairs []Pair) []bool {
 	return out
 }
 
-// Selects reports whether the query selects the given pair. The planned
-// path answers with one sparse product BFS in the direction — forward from
-// src or backward from dst — whose first-frontier estimate is smaller,
-// instead of the dense evaluator's whole-graph backward precomputation;
-// with planning disabled the dense PR 1 behaviour is retained.
+// Selects reports whether the query selects the given pair, with one sparse
+// product BFS in the direction — forward from src or backward from dst —
+// whose first-frontier estimate is smaller.
 func (g *Graph) Selects(q PathQuery, src, dst int) bool {
-	if plan.Disabled() {
-		return newEvaluator(g, q).run(src).Has(dst)
-	}
 	ev := newPairEvaluator(g, q)
 	if ev.k > 0 && ev.frontierIn(dst) < ev.frontierOut(src) {
 		plan.CountDecision(layerSelects, "backward", 1)

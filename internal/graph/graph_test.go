@@ -89,9 +89,9 @@ func TestMatchWord(t *testing.T) {
 func TestEvalFromLine(t *testing.T) {
 	g := lineGraph("a", "b", "c")
 	q := MustParsePathQuery("a.b")
-	got := g.EvalFrom(q, g.NodeIndex("a"))
+	got := evalFrom(g, q, g.NodeIndex("a"))
 	if len(got) != 1 || g.Node(got[0]) != "c" {
-		t.Errorf("EvalFrom = %v", got)
+		t.Errorf("Eval from a = %v", got)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestEvalStarLoop(t *testing.T) {
 	g.AddEdge("a", "b", "b")
 	g.AddEdge("b", "b", "a")
 	q := MustParsePathQuery("b*")
-	got := g.EvalFrom(q, g.NodeIndex("a"))
+	got := evalFrom(g, q, g.NodeIndex("a"))
 	if len(got) != 2 {
 		t.Errorf("b* from a = %v, want both nodes", got)
 	}
@@ -162,7 +162,7 @@ func TestGenerateGeo(t *testing.T) {
 // naivePairs computes the selected pairs by enumerating every word over the
 // alphabet up to maxLen, filtering with MatchWord, and checking path
 // existence for each accepted word by a reachability DP — an oracle
-// independent of the product construction in EvalFrom.
+// independent of the product construction in Eval.
 func naivePairs(g *Graph, q PathQuery, alphabet []string, maxLen int) map[Pair]bool {
 	out := map[Pair]bool{}
 	var word []string

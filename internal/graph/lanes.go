@@ -1,6 +1,6 @@
-// Bit-parallel multi-source evaluation behind EvalPairs and EvalPairsStream,
-// after Then et al., "The More the Merrier: Efficient Multi-Source Graph
-// Traversal" (PVLDB 8(4), 2014).
+// Bit-parallel multi-source evaluation behind Eval, EvalPairs and
+// EvalPairsStream, after Then et al., "The More the Merrier: Efficient
+// Multi-Source Graph Traversal" (PVLDB 8(4), 2014).
 //
 // A lane is one bit of a uint64 and tracks one source (or, backward, one
 // destination); a pass carries up to 64 lanes through the query's chain
@@ -9,13 +9,15 @@
 // one hop along the label, a starred atom closes the masks over the label's
 // strongly connected components (Tarjan's condensation, built lazily from the
 // nodes a pass touches), so a pass visits each reached component once instead
-// of once per source. The lanes ride the side whose distinct nodes fill fewer
-// passes, sources on a tie.
+// of once per source. Eval runs every node with a possible first step as a
+// source; EvalPairs lets the lanes ride the side whose distinct nodes fill
+// fewer passes, sources on a tie.
 package graph
 
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -356,9 +358,8 @@ func (sch *schedule) emit(w *laneScratch, pairs []Pair, p int, sink plan.Sink[Pa
 // delivery: verdicts are emitted to the sink pass by pass (order
 // unspecified), and a false return from the sink stops the stream — passes
 // in flight complete but emit nothing further. The lanes ride the side with
-// fewer passes, forward on a tie and always forward under QUERYLEARN_NOPLAN;
-// rec (nil-safe) receives the time spent counting and the passes per
-// direction for request-trace attribution.
+// fewer passes, forward on a tie; rec (nil-safe) receives the time spent
+// counting and the passes per direction for request-trace attribution.
 func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, sink plan.Sink[PairVerdict]) {
 	if len(pairs) == 0 || len(g.nodes) == 0 {
 		return
@@ -366,7 +367,7 @@ func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, s
 	s := getLanes(len(g.nodes))
 	defer putLanes(s)
 	done := rec.StartPlan(layerEvalPairs)
-	backward := !plan.Disabled() && s.passes(pairs, true) < s.passes(pairs, false)
+	backward := s.passes(pairs, true) < s.passes(pairs, false)
 	done()
 	choice := "forward"
 	if backward {
@@ -381,8 +382,34 @@ func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, s
 func (g *Graph) evalLanes(s *laneScratch, q PathQuery, pairs []Pair, backward bool, sink plan.Sink[PairVerdict]) int {
 	ix := g.index()
 	sch := s.schedule(pairs, backward)
-	k := len(q.Atoms)
-	atoms := make([]laneAtom, k)
+	atoms := laneAtoms(ix, q)
+	adj := ix.out
+	if backward {
+		adj = ix.in
+		slices.Reverse(atoms)
+	}
+	// Emission is serialized, and a false sink return stops every worker at
+	// its next pass.
+	passes := sch.passes()
+	var mu sync.Mutex
+	stopped := false
+	forPasses(len(g.nodes), passes, s, func(w *laneScratch, p int) bool {
+		w.pass(atoms, adj, sch.nodes[p*laneWidth:min((p+1)*laneWidth, len(sch.nodes))])
+		mu.Lock()
+		if !stopped && !sch.emit(w, pairs, p, sink) {
+			stopped = true
+		}
+		ok := !stopped
+		mu.Unlock()
+		w.clear()
+		return ok
+	})
+	return passes
+}
+
+// laneAtoms resolves the query's atoms against the index.
+func laneAtoms(ix *labelIndex, q PathQuery) []laneAtom {
+	atoms := make([]laneAtom, len(q.Atoms))
 	for i, a := range q.Atoms {
 		lid, ok := ix.labelIDs[a.Label]
 		if !ok {
@@ -390,19 +417,15 @@ func (g *Graph) evalLanes(s *laneScratch, q PathQuery, pairs []Pair, backward bo
 		}
 		atoms[i] = laneAtom{lid: lid, star: a.Star}
 	}
-	adj := ix.out
-	if backward {
-		adj = ix.in
-		for i, j := 0, k-1; i < j; i, j = i+1, j-1 {
-			atoms[i], atoms[j] = atoms[j], atoms[i]
-		}
-	}
-	// Passes fan out over up to GOMAXPROCS workers, the caller's goroutine
-	// among them; emission is serialized, and a false sink return stops
-	// every worker at its next pass.
-	passes := sch.passes()
+	return atoms
+}
+
+// forPasses runs pass(w, p) once for each p in [0, passes) over up to
+// GOMAXPROCS workers, the caller's goroutine among them on scratch s; the
+// other workers draw their own scratch for n nodes. A false return stops
+// every worker at its next pass.
+func forPasses(n, passes int, s *laneScratch, pass func(w *laneScratch, p int) bool) {
 	var stop atomic.Bool
-	var mu sync.Mutex
 	var cursor atomic.Int64
 	work := func(w *laneScratch) {
 		for !stop.Load() {
@@ -410,13 +433,9 @@ func (g *Graph) evalLanes(s *laneScratch, q PathQuery, pairs []Pair, backward bo
 			if p >= passes {
 				return
 			}
-			w.pass(atoms, adj, sch.nodes[p*laneWidth:min((p+1)*laneWidth, len(sch.nodes))])
-			mu.Lock()
-			if !stop.Load() && !sch.emit(w, pairs, p, sink) {
+			if !pass(w, p) {
 				stop.Store(true)
 			}
-			mu.Unlock()
-			w.clear()
 		}
 	}
 	var wg sync.WaitGroup
@@ -424,12 +443,97 @@ func (g *Graph) evalLanes(s *laneScratch, q PathQuery, pairs []Pair, backward bo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := getLanes(len(g.nodes))
+			w := getLanes(n)
 			defer putLanes(w)
 			work(w)
 		}()
 	}
 	work(s)
 	wg.Wait()
-	return passes
+}
+
+// Eval returns all pairs (src, dst) the query selects on the graph, in
+// (src, dst) ascending order. Sources ride 64 to a pass in ascending order —
+// every node, or under a plain first atom only the nodes with an edge of its
+// label — and each pass's pairs come out lane by lane, so concatenating the
+// passes in order needs no global sort. Eval is safe for concurrent calls on
+// a quiescent graph.
+func (g *Graph) Eval(q PathQuery) []Pair {
+	n := len(g.nodes)
+	if n == 0 {
+		return nil
+	}
+	ix := g.index()
+	atoms := laneAtoms(ix, q)
+	var sources []int32
+	if len(atoms) > 0 && !atoms[0].star {
+		if atoms[0].lid < 0 {
+			return nil
+		}
+		c := ix.out[atoms[0].lid]
+		for v := 0; v < n; v++ {
+			if c.start[v] < c.start[v+1] {
+				sources = append(sources, int32(v))
+			}
+		}
+	} else {
+		sources = make([]int32, n)
+		for v := range sources {
+			sources[v] = int32(v)
+		}
+	}
+	passes := (len(sources) + laneWidth - 1) / laneWidth
+	found := make([][]Pair, passes)
+	s := getLanes(n)
+	defer putLanes(s)
+	forPasses(n, passes, s, func(w *laneScratch, p int) bool {
+		starts := sources[p*laneWidth : min((p+1)*laneWidth, len(sources))]
+		w.pass(atoms, ix.out, starts)
+		found[p] = w.pairs(starts)
+		w.clear()
+		return true
+	})
+	return slices.Concat(found...) // nil when no pass selected a pair
+}
+
+// pairs lists the pass's selected pairs from the final masks in cur: lane
+// by lane, each lane's destinations ascending. The destinations are visited
+// in node order, by a sweep over every node when the pass reached many of
+// them and by sorting the reached ones otherwise.
+func (s *laneScratch) pairs(starts []int32) []Pair {
+	var at [laneWidth]int // lane i's next slot in out
+	total := 0
+	for _, v := range s.curT {
+		for m := s.cur[v]; m != 0; m &= m - 1 {
+			at[bits.TrailingZeros64(m)]++
+		}
+		total += bits.OnesCount64(s.cur[v])
+	}
+	if total == 0 {
+		return nil
+	}
+	for i, next := 0, 0; i < len(starts); i++ {
+		at[i], next = next, next+at[i]
+	}
+	out := make([]Pair, total)
+	put := func(v int) {
+		for m := s.cur[v]; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			out[at[i]] = Pair{Src: int(starts[i]), Dst: v}
+			at[i]++
+		}
+	}
+	if len(s.curT)*16 >= len(s.cur) {
+		for v, m := range s.cur {
+			if m != 0 {
+				put(v)
+			}
+		}
+	} else {
+		slices.Sort(s.curT)
+		for _, v := range s.curT {
+			put(int(v))
+		}
+	}
+	return out
 }

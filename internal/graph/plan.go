@@ -1,6 +1,6 @@
 // Greedily-planned, streaming evaluation: the forward/backward direction of
 // single-pair probes (Selects, SelectsManyStream) from frontier-size
-// estimates, and streaming Sink-based result delivery with early
+// estimates, and streaming Sink-based verdict delivery with early
 // termination. EvalPairsStream's lane side is chosen in lanes.go by counting
 // passes.
 //
@@ -9,17 +9,10 @@
 // "greedy beats optimal" discipline: no statistics are maintained, planning
 // is a handful of integer reads per operand, and the greedy cheapest-first
 // choice wins because pattern-query work is dominated by the first frontier
-// expansion. QUERYLEARN_NOPLAN (plan.Disabled) reverts every entry point to
-// its fixed forward order.
+// expansion.
 package graph
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"querylearn/internal/plan"
-)
+import "querylearn/internal/plan"
 
 // PairVerdict is one streamed membership verdict: whether the query selects
 // pairs[Index].
@@ -115,81 +108,6 @@ func (ev *pairEvaluator) frontierIn(dst int) int {
 	return 1 + len(ev.ix.in[ev.lids[ev.k-1]].row(dst))
 }
 
-// EvalStream evaluates the query over the whole graph, streaming the
-// selected pairs to the sink in (src, dst) ascending order — the same order
-// Eval materializes — with early termination: a false return stops the
-// stream. Sources still run in parallel; a reorder window holds finished
-// sources until their turn so emission order stays deterministic.
-func (g *Graph) EvalStream(q PathQuery, sink plan.Sink[Pair]) {
-	if len(g.nodes) == 0 {
-		return
-	}
-	proto := newEvaluator(g, q)
-	sources := proto.canAccept[0].Slice()
-	if len(sources) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	if workers <= 1 || len(sources) < 32 {
-		for _, src := range sources {
-			for _, d := range proto.run(src).Slice() {
-				if !sink(Pair{Src: src, Dst: d}) {
-					return
-				}
-			}
-		}
-		return
-	}
-	results := make([][]int, len(sources))
-	done := make(chan int, len(sources))
-	var stop atomic.Bool
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := proto.fork()
-			for !stop.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(sources) {
-					return
-				}
-				results[i] = ev.run(sources[i]).Slice()
-				done <- i
-			}
-		}()
-	}
-	// Ordered emission: advance a frontier over completed sources, emitting
-	// each source's pairs only after every earlier source has been emitted.
-	ready := make([]bool, len(sources))
-	next, received := 0, 0
-	for received < len(sources) && !stop.Load() {
-		i := <-done
-		received++
-		ready[i] = true
-		for next < len(sources) && ready[next] {
-			src := sources[next]
-			for _, d := range results[next] {
-				if !sink(Pair{Src: src, Dst: d}) {
-					stop.Store(true)
-					break
-				}
-			}
-			results[next] = nil
-			if stop.Load() {
-				break
-			}
-			next++
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-}
-
 // SelectsManyStream streams each query's verdict on the pair, in query
 // order; a false sink return stops the evaluation — the early exit behind
 // disagreement probes, which need only the first verdict that differs. One
@@ -205,7 +123,6 @@ func (g *Graph) SelectsManyStream(qs []PathQuery, src, dst int, sink plan.Sink[P
 			maxK = len(q.Atoms)
 		}
 	}
-	planned := !plan.Disabled()
 	shared := make([]uint32, len(g.nodes)*(maxK+1))
 	epoch := uint32(0)
 	for i, q := range qs {
@@ -213,7 +130,7 @@ func (g *Graph) SelectsManyStream(qs []PathQuery, src, dst int, sink plan.Sink[P
 		ev.visited = shared[:len(g.nodes)*(ev.k+1)]
 		ev.epoch = epoch
 		var sel bool
-		if planned && ev.k > 0 && ev.frontierIn(dst) < ev.frontierOut(src) {
+		if ev.k > 0 && ev.frontierIn(dst) < ev.frontierOut(src) {
 			ev.runBack(dst)
 			sel = ev.coselects(src)
 		} else {

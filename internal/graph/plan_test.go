@@ -3,8 +3,6 @@ package graph
 import (
 	"math/rand"
 	"testing"
-
-	"querylearn/internal/plan"
 )
 
 // Backward single-pair product BFS must agree with forward on every
@@ -47,9 +45,9 @@ func hubPairs(rng *rand.Rand, n, hub int) []Pair {
 	return ps
 }
 
-// Planned EvalPairs (lanes on the side with fewer passes) must equal both
-// the plan-disabled forward lanes and the naive oracle on randomized graphs
-// and hub-shaped pair sets.
+// Planned EvalPairs (lanes on the side with fewer passes) must equal the
+// naive oracle, which fixes no side, on randomized graphs and hub-shaped pair
+// sets; TestDifferentialLanesVsNaive forces the lanes onto each side.
 func TestDifferentialEvalPairsPlannedVsUnplanned(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	for seed := int64(0); seed < 20; seed++ {
@@ -60,14 +58,11 @@ func TestDifferentialEvalPairsPlannedVsUnplanned(t *testing.T) {
 		for qi := 0; qi < 5; qi++ {
 			q := randomQuery(rng, labels)
 			planned := g.EvalPairs(q, pairs)
-			prevDisabled := plan.SetDisabled(true)
-			unplanned := g.EvalPairs(q, pairs)
-			plan.SetDisabled(prevDisabled)
 			naive := g.EvalPairsNaive(q, pairs)
 			for i := range pairs {
-				if planned[i] != naive[i] || unplanned[i] != naive[i] {
-					t.Fatalf("seed=%d q=%v pair=%v: planned=%v unplanned=%v naive=%v",
-						seed, q, pairs[i], planned[i], unplanned[i], naive[i])
+				if planned[i] != naive[i] {
+					t.Fatalf("seed=%d q=%v pair=%v: planned=%v naive=%v",
+						seed, q, pairs[i], planned[i], naive[i])
 				}
 			}
 		}
@@ -76,35 +71,6 @@ func TestDifferentialEvalPairsPlannedVsUnplanned(t *testing.T) {
 
 func node(prefix string, i int) string {
 	return prefix + string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
-
-// EvalStream must deliver exactly Eval's pairs in Eval's order, and a false
-// sink return must stop the stream after the emitted prefix.
-func TestEvalStreamOrderAndEarlyStop(t *testing.T) {
-	labels := []string{"a", "b"}
-	for _, n := range []int{10, 120} { // under and over the parallel threshold
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := randomGraph(rng, n, 6*n, labels)
-		q := PathQuery{Atoms: []Atom{{Label: "a", Star: true}, {Label: "b"}}}
-		want := g.Eval(q)
-		var got []Pair
-		g.EvalStream(q, plan.Collect(&got))
-		if !pairsEqual(got, want) {
-			t.Fatalf("n=%d: EvalStream emitted %d pairs != Eval's %d, or out of order", n, len(got), len(want))
-		}
-		if len(want) < 3 {
-			continue
-		}
-		stopAt := len(want) / 2
-		var prefix []Pair
-		g.EvalStream(q, func(p Pair) bool {
-			prefix = append(prefix, p)
-			return len(prefix) < stopAt
-		})
-		if !pairsEqual(prefix, want[:stopAt]) {
-			t.Fatalf("n=%d: early-stopped stream emitted %v, want prefix %v", n, prefix, want[:stopAt])
-		}
-	}
 }
 
 // SelectsManyStream's per-query direction choice must agree with the

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"querylearn/internal/graph"
-	"querylearn/internal/plan"
 )
 
 // sessionState flattens the observable session state for comparison.
@@ -17,7 +16,8 @@ func sessionState(s *Session) (cands []string, informative []graph.Pair, result 
 
 // The fused constructor must be state-identical to NewSessionProbes followed
 // by Record of each example, across goal-labeled example sets that do and do
-// not eliminate candidates, with planning on and off.
+// not eliminate candidates: its pre-pool pass changes evaluation cost, never
+// state.
 func TestNewSessionExamplesEquivalentToReplay(t *testing.T) {
 	for seed := int64(1); seed < 15; seed++ {
 		g := graph.GenerateGeo(seed, 25+int(seed)%11)
@@ -55,35 +55,31 @@ func TestNewSessionExamplesEquivalentToReplay(t *testing.T) {
 			}
 			return s, nil
 		}
-		for _, disabled := range []bool{false, true} {
-			prev := plan.SetDisabled(disabled)
-			fused, ferr := NewSessionExamples(g, seedPair, pool, examples)
-			plan.SetDisabled(prev)
-			replayed, rerr := replay()
-			if (ferr == nil) != (rerr == nil) {
-				t.Fatalf("seed %d disabled=%v: fused err %v, replay err %v", seed, disabled, ferr, rerr)
+		fused, ferr := NewSessionExamples(g, seedPair, pool, examples)
+		replayed, rerr := replay()
+		if (ferr == nil) != (rerr == nil) {
+			t.Fatalf("seed %d: fused err %v, replay err %v", seed, ferr, rerr)
+		}
+		if ferr != nil {
+			continue
+		}
+		fc, fi, fr := sessionState(fused)
+		rc, ri, rr := sessionState(replayed)
+		if len(fc) != len(rc) || fr != rr {
+			t.Fatalf("seed %d: survivors/result differ: fused (%d, %q) vs replay (%d, %q)",
+				seed, len(fc), fr, len(rc), rr)
+		}
+		for i := range fc {
+			if fc[i] != rc[i] {
+				t.Fatalf("seed %d: survivor %d: %q vs %q", seed, i, fc[i], rc[i])
 			}
-			if ferr != nil {
-				continue
-			}
-			fc, fi, fr := sessionState(fused)
-			rc, ri, rr := sessionState(replayed)
-			if len(fc) != len(rc) || fr != rr {
-				t.Fatalf("seed %d disabled=%v: survivors/result differ: fused (%d, %q) vs replay (%d, %q)",
-					seed, disabled, len(fc), fr, len(rc), rr)
-			}
-			for i := range fc {
-				if fc[i] != rc[i] {
-					t.Fatalf("seed %d disabled=%v: survivor %d: %q vs %q", seed, disabled, i, fc[i], rc[i])
-				}
-			}
-			if len(fi) != len(ri) {
-				t.Fatalf("seed %d disabled=%v: informative counts differ: %d vs %d", seed, disabled, len(fi), len(ri))
-			}
-			for i := range fi {
-				if fi[i] != ri[i] {
-					t.Fatalf("seed %d disabled=%v: informative %d: %v vs %v", seed, disabled, i, fi[i], ri[i])
-				}
+		}
+		if len(fi) != len(ri) {
+			t.Fatalf("seed %d: informative counts differ: %d vs %d", seed, len(fi), len(ri))
+		}
+		for i := range fi {
+			if fi[i] != ri[i] {
+				t.Fatalf("seed %d: informative %d: %v vs %v", seed, i, fi[i], ri[i])
 			}
 		}
 	}

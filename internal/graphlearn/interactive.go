@@ -104,8 +104,7 @@ type LabeledPair struct {
 // pays a pool-sized evaluation — the collapsed version space stops evaluation
 // mid-flight. The final session state is identical to NewSessionProbes
 // followed by Record of each example (per-pair verdicts are independent of
-// the batch they are computed in); QUERYLEARN_NOPLAN literally takes that
-// path.
+// the batch they are computed in).
 func NewSessionExamples(g *graph.Graph, seed graph.Pair, pool []graph.Pair, examples []LabeledPair) (*Session, error) {
 	return newSession(g, seed, pool, nil, examples, nil)
 }
@@ -154,7 +153,7 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 	// exactly what the record() replays below would keep, so the pre-pass
 	// changes evaluation cost, never state.
 	survivors := cands
-	if len(examples) > 0 && !plan.Disabled() {
+	if len(examples) > 0 {
 		done := s.rec.StartPlan(layerSession)
 		labeledPairs := make([]graph.Pair, 0, len(examples)+1)
 		for _, e := range examples {

@@ -15,32 +15,18 @@
 // threaded down from the session layer accumulates per-request planning
 // time that the manager folds into the request trace as a "plan" phase.
 //
-// QUERYLEARN_NOPLAN=1 (or SetDisabled) reverts every consumer to its
-// pre-planning fixed order — the rollback knob, and the baseline arm the
-// T19 experiment and the differential tests compare against.
+// Planning has no off switch: each consumer's unplanned alternative is its
+// naive oracle, which the differential tests and the T19 experiment call
+// directly.
 package plan
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"querylearn/internal/obs"
 )
-
-var disabled atomic.Bool
-
-func init() { disabled.Store(os.Getenv("QUERYLEARN_NOPLAN") != "") }
-
-// Disabled reports whether planning is globally off: consumers fall back to
-// their fixed, hand-picked evaluation order.
-func Disabled() bool { return disabled.Load() }
-
-// SetDisabled flips the global planning switch and returns the previous
-// value — the programmatic form of QUERYLEARN_NOPLAN for tests and the
-// unplanned arms of benchmarks.
-func SetDisabled(v bool) bool { return disabled.Swap(v) }
 
 // metrics holds the querylearn_plan_* families of one registry.
 type metrics struct {
@@ -198,11 +184,6 @@ func Pick(n int, score func(int) int) int {
 	return best
 }
 
-// PickMin is Pick with minimization — cheapest-first.
-func PickMin(n int, cost func(int) int) int {
-	return Pick(n, func(i int) int { return -cost(i) })
-}
-
 // Order returns the indices 0..n-1 sorted ascending by cost, stably —
 // greedy cheapest-first ordering for operand lists whose costs are fixed up
 // front (insertion sort: operand lists here are tens of entries, and
@@ -230,13 +211,3 @@ func Order(n int, cost func(int) int) []int {
 // guarantee no further emissions after a false return (in-flight parallel
 // work may still complete, but its results are dropped).
 type Sink[T any] func(T) bool
-
-// Collect returns a sink appending every element to *out; it never stops
-// the stream. It is how the materializing entry points (Eval, EvalPairs)
-// are expressed over their streaming cores.
-func Collect[T any](out *[]T) Sink[T] {
-	return func(v T) bool {
-		*out = append(*out, v)
-		return true
-	}
-}

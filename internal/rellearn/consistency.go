@@ -70,14 +70,14 @@ type SemijoinStats struct {
 // error is non-nil only when the node budget is exhausted.
 //
 // The search runs over interned agreement sets with a compact binary memo
-// key, and collapses to plain uint64 candidates when the universe fits one
-// word (≤ 64 attribute pairs — every instance the experiments generate).
-// The planned search (the default) re-ranks the remaining example families
-// at every node by the size of their best surviving witness intersection —
-// greedy fail-first over live popcounts instead of the static up-front
-// order — and short-circuits the instant the survivor set collapses to a
-// state every remaining family accepts for free. QUERYLEARN_NOPLAN
-// (plan.Disabled) reverts to the static PR 5 ordering.
+// key. When the universe fits one word (≤ 64 attribute pairs) and there are
+// at most 64 positive examples — every instance the experiments generate —
+// the planned search runs over plain uint64 candidates: it re-ranks the
+// remaining example families at every node by the size of their best
+// surviving witness intersection — greedy fail-first over live popcounts
+// instead of the static up-front order — and short-circuits the instant the
+// survivor set collapses to a state every remaining family accepts for free.
+// Any other instance takes the static fail-first order over PairSets.
 // SemijoinConsistentNaive is the retained original, the differential
 // tests' oracle.
 func SemijoinConsistent(u *Universe, examples []SemijoinExample, maxNodes int) (PairSet, bool, SemijoinStats, error) {
@@ -94,14 +94,10 @@ func SemijoinConsistent(u *Universe, examples []SemijoinExample, maxNodes int) (
 	}
 	var result PairSet
 	var found bool
-	switch {
-	case !plan.Disabled() && u.words == 1 && len(families) <= 64:
+	if u.words == 1 && len(families) <= 64 {
 		plan.CountDecision(layerSemijoin, "dynamic", 1)
 		result, found = semijoinDFS64Planned(u, forbidden, families, maxNodes, &stats)
-	case u.words == 1:
-		plan.CountDecision(layerSemijoin, "static", 1)
-		result, found = semijoinDFS64(u, forbidden, families, order, maxNodes, &stats)
-	default:
+	} else {
 		plan.CountDecision(layerSemijoin, "static", 1)
 		result, found = semijoinDFSWide(u, forbidden, families, order, maxNodes, &stats)
 	}
@@ -171,61 +167,6 @@ func semijoinPrepare(u *Universe, examples []SemijoinExample) (forbidden []PairS
 	}
 	sort.Slice(order, func(a, b int) bool { return len(families[order[a]]) < len(families[order[b]]) })
 	return forbidden, families, order, false, false
-}
-
-// semijoinDFS64 is the single-word search: candidates are plain uint64s,
-// the memo key is a (depth, word) pair, and no set allocation happens on
-// the search path.
-func semijoinDFS64(u *Universe, forbidden []PairSet, families [][]PairSet, order []int, maxNodes int, stats *SemijoinStats) (PairSet, bool) {
-	forb := make([]uint64, len(forbidden))
-	for i, f := range forbidden {
-		forb[i] = f[0]
-	}
-	fams := make([][]uint64, len(families))
-	for i, fam := range families {
-		fams[i] = make([]uint64, len(fam))
-		for j, a := range fam {
-			fams[i][j] = a[0]
-		}
-	}
-	seen := make(map[[2]uint64]struct{})
-	var result uint64
-	var dfs func(depth int, cand uint64) bool
-	dfs = func(depth int, cand uint64) bool {
-		stats.NodesExplored++
-		if stats.NodesExplored > maxNodes {
-			return false
-		}
-		for _, f := range forb {
-			if cand&^f == 0 {
-				stats.Pruned++
-				return false
-			}
-		}
-		if depth == len(order) {
-			result = cand
-			return true
-		}
-		key := [2]uint64{uint64(depth), cand}
-		if _, ok := seen[key]; ok {
-			stats.Pruned++
-			return false
-		}
-		seen[key] = struct{}{}
-		for _, a := range fams[order[depth]] {
-			if dfs(depth+1, cand&a) {
-				return true
-			}
-			if stats.NodesExplored > maxNodes {
-				return false
-			}
-		}
-		return false
-	}
-	if !dfs(0, u.Full()[0]) {
-		return nil, false
-	}
-	return PairSet{result}, true
 }
 
 // semijoinDFS64Planned is the greedily-planned single-word search. Instead
@@ -326,9 +267,9 @@ func semijoinDFS64Planned(u *Universe, forbidden []PairSet, families [][]PairSet
 	return PairSet{result}, true
 }
 
-// semijoinDFSWide is the multi-word search: PairSet candidates with a
-// compact binary memo key instead of the hex-formatted string of the naive
-// path.
+// semijoinDFSWide is the static-order search at any universe width: PairSet
+// candidates with a compact binary memo key instead of the hex-formatted
+// string of the naive path, and otherwise the naive search's exact tree.
 func semijoinDFSWide(u *Universe, forbidden []PairSet, families [][]PairSet, order []int, maxNodes int, stats *SemijoinStats) (PairSet, bool) {
 	seen := make(map[string]struct{})
 	var keyBuf []byte

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"querylearn/internal/plan"
 	"querylearn/internal/relational"
 )
 
@@ -70,11 +69,60 @@ func semijoinWitnesses(u *Universe, exs []SemijoinExample, p PairSet) bool {
 	return true
 }
 
+// semijoinStatic is SemijoinConsistent with the search forced onto the
+// static-order semijoinDFSWide, whatever the universe's width.
+func semijoinStatic(u *Universe, exs []SemijoinExample, maxNodes int) (PairSet, bool, SemijoinStats, error) {
+	var stats SemijoinStats
+	forbidden, families, order, early, earlyOK := semijoinPrepare(u, exs)
+	if early {
+		if !earlyOK {
+			return nil, false, stats, nil
+		}
+		return u.Full(), true, stats, nil
+	}
+	p, ok := semijoinDFSWide(u, forbidden, families, order, maxNodes, &stats)
+	if !ok && stats.NodesExplored > maxNodes {
+		return nil, false, stats, fmt.Errorf("budget exhausted after %d nodes", stats.NodesExplored)
+	}
+	return p, ok, stats, nil
+}
+
+// semijoinOutcome is one semijoin search's full result.
+type semijoinOutcome struct {
+	pred  PairSet
+	ok    bool
+	stats SemijoinStats
+	err   error
+}
+
+func outcome(pred PairSet, ok bool, stats SemijoinStats, err error) semijoinOutcome {
+	return semijoinOutcome{pred, ok, stats, err}
+}
+
+// checkSemijoinBitForBit requires the fast result to be the naive one:
+// same error-ness, decision, predicate and node/prune counts.
+func checkSemijoinBitForBit(t *testing.T, who string, seed int64, u *Universe, fast, naive semijoinOutcome) {
+	t.Helper()
+	if (fast.err == nil) != (naive.err == nil) {
+		t.Fatalf("seed %d: err %s %v, naive %v", seed, who, fast.err, naive.err)
+	}
+	if fast.ok != naive.ok {
+		t.Fatalf("seed %d (words=%d): decision %s %v != naive %v", seed, u.words, who, fast.ok, naive.ok)
+	}
+	if fast.ok && !fast.pred.Equal(naive.pred) {
+		t.Fatalf("seed %d (words=%d): predicate %s %v != naive %v",
+			seed, u.words, who, u.Decode(fast.pred), u.Decode(naive.pred))
+	}
+	if fast.stats != naive.stats {
+		t.Fatalf("seed %d (words=%d): stats %s %+v != naive %+v", seed, u.words, who, fast.stats, naive.stats)
+	}
+}
+
 func TestDifferentialSemijoinConsistentVsNaive(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed * 13))
 		// Mix of single-word (k*k <= 64) and multi-word (k*k > 64)
-		// universes so both DFS variants are exercised.
+		// universes, so the static search runs at both widths.
 		kL := 2 + rng.Intn(9)
 		kR := 2 + rng.Intn(9)
 		u := randomUniverse(rng, kL, kR, 4+rng.Intn(10), 4+rng.Intn(10), 3)
@@ -82,41 +130,68 @@ func TestDifferentialSemijoinConsistentVsNaive(t *testing.T) {
 		for i := 0; i < u.Left.Len(); i++ {
 			exs = append(exs, SemijoinExample{Left: i, Positive: rng.Intn(2) == 0})
 		}
-		np, nok, nstats, nerr := SemijoinConsistentNaive(u, exs, 1<<22)
+		naive := outcome(SemijoinConsistentNaive(u, exs, 1<<22))
 
-		// Unplanned fast path: bit-for-bit the naive search over interned
-		// sets — identical predicate, identical node/prune counts.
-		prev := plan.SetDisabled(true)
-		fp, fok, fstats, ferr := SemijoinConsistent(u, exs, 1<<22)
-		plan.SetDisabled(prev)
-		if (ferr == nil) != (nerr == nil) {
-			t.Fatalf("seed %d: err fast %v, naive %v", seed, ferr, nerr)
-		}
-		if fok != nok {
-			t.Fatalf("seed %d (words=%d): decision fast %v != naive %v", seed, u.words, fok, nok)
-		}
-		if fok && !fp.Equal(np) {
-			t.Fatalf("seed %d (words=%d): predicate fast %v != naive %v",
-				seed, u.words, u.Decode(fp), u.Decode(np))
-		}
-		if fstats != nstats {
-			t.Fatalf("seed %d (words=%d): stats fast %+v != naive %+v", seed, u.words, fstats, nstats)
-		}
+		// Static search: bit-for-bit the naive search over interned sets —
+		// identical predicate, identical node/prune counts.
+		checkSemijoinBitForBit(t, "static", seed, u, outcome(semijoinStatic(u, exs, 1<<22)), naive)
 
 		// Planned path: the dynamic family order explores a different tree,
 		// so the witness predicate may differ — the contract is the same
 		// decision and a predicate the examples verify.
 		pp, pok, _, perr := SemijoinConsistent(u, exs, 1<<22)
-		if (perr == nil) != (nerr == nil) {
-			t.Fatalf("seed %d: err planned %v, naive %v", seed, perr, nerr)
+		if (perr == nil) != (naive.err == nil) {
+			t.Fatalf("seed %d: err planned %v, naive %v", seed, perr, naive.err)
 		}
-		if pok != nok {
-			t.Fatalf("seed %d (words=%d): decision planned %v != naive %v", seed, u.words, pok, nok)
+		if pok != naive.ok {
+			t.Fatalf("seed %d (words=%d): decision planned %v != naive %v", seed, u.words, pok, naive.ok)
 		}
 		if pok && !semijoinWitnesses(u, exs, pp) {
 			t.Fatalf("seed %d (words=%d): planned predicate %v inconsistent with examples",
 				seed, u.words, u.Decode(pp))
 		}
+	}
+
+	// More than 64 positives on a single-word universe: the planned search's
+	// family mask cannot hold them, so SemijoinConsistent itself must be
+	// bit-for-bit the naive search. Labels come from a hidden one-pair goal
+	// (consistent by construction), the same with one label flipped, or all
+	// positive.
+	ran, consistent := 0, 0
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(500 + seed))
+		u := randomUniverse(rng, 2+rng.Intn(3), 2+rng.Intn(3), 100+rng.Intn(30), 4+rng.Intn(6), 3)
+		if u.words != 1 {
+			t.Fatalf("seed %d: %d words, want a single-word universe", seed, u.words)
+		}
+		goal := u.EmptySet().With(rng.Intn(u.Size()))
+		var exs []SemijoinExample
+		positives := 0
+		for i := 0; i < u.Left.Len(); i++ {
+			pos := seed%3 == 2
+			for j := 0; j < u.Right.Len() && !pos; j++ {
+				pos = goal.SubsetOf(u.Agree(i, j))
+			}
+			if seed%3 == 1 && i == 0 {
+				pos = !pos
+			}
+			if pos {
+				positives++
+			}
+			exs = append(exs, SemijoinExample{Left: i, Positive: pos})
+		}
+		if positives <= 64 {
+			continue
+		}
+		ran++
+		naive := outcome(SemijoinConsistentNaive(u, exs, 1<<22))
+		checkSemijoinBitForBit(t, "SemijoinConsistent", seed, u, outcome(SemijoinConsistent(u, exs, 1<<22)), naive)
+		if naive.ok {
+			consistent++
+		}
+	}
+	if ran < 16 || consistent == 0 || consistent == ran {
+		t.Fatalf("over 64 positives: %d instances, %d consistent; want at least 16, consistent and not", ran, consistent)
 	}
 }
 

@@ -164,10 +164,9 @@ func (s *Session) Record(li, ri int, positive bool) error {
 // greedy most-selective-first, so classify's certainly-rejected probe hits
 // the set most likely to contain a candidate's agreement set early. Pure
 // evaluation-order planning: the any-of subset check is order-insensitive,
-// so results are identical, and QUERYLEARN_NOPLAN keeps the unordered
-// maximalSets output.
+// so results are identical.
 func orderNegatives(negs []PairSet) []PairSet {
-	if plan.Disabled() || len(negs) < 2 {
+	if len(negs) < 2 {
 		return negs
 	}
 	idx := plan.Order(len(negs), func(i int) int { return -negs[i].Count() })

@@ -2,9 +2,8 @@ package rellearn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-
-	"querylearn/internal/plan"
 )
 
 // semijoinGreedyAdhoc is the pre-planner greedy loop verbatim (argmax with
@@ -63,10 +62,9 @@ func TestSemijoinGreedyMatchesAdhocLoop(t *testing.T) {
 	}
 }
 
-// The planned search must agree with the static search on decision across a
-// wide randomized sweep, and must never explore more nodes than the static
-// order on instances where both succeed quickly (sanity: the short-circuit
-// and re-ranking exist to prune, not inflate).
+// The planned search must agree with the naive search, which keeps the
+// static order, on decision across a wide randomized sweep, and its
+// predicate must verify against the examples.
 func TestSemijoinPlannedVsStaticDecisions(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
@@ -76,14 +74,12 @@ func TestSemijoinPlannedVsStaticDecisions(t *testing.T) {
 			exs = append(exs, SemijoinExample{Left: i, Positive: rng.Intn(3) > 0})
 		}
 		pp, pok, _, perr := SemijoinConsistent(u, exs, 1<<22)
-		prev := plan.SetDisabled(true)
-		_, sok, _, serr := SemijoinConsistent(u, exs, 1<<22)
-		plan.SetDisabled(prev)
+		_, sok, _, serr := SemijoinConsistentNaive(u, exs, 1<<22)
 		if perr != nil || serr != nil {
-			t.Fatalf("seed %d: budget exhausted (planned %v, static %v)", seed, perr, serr)
+			t.Fatalf("seed %d: budget exhausted (planned %v, naive %v)", seed, perr, serr)
 		}
 		if pok != sok {
-			t.Fatalf("seed %d: planned decision %v != static %v", seed, pok, sok)
+			t.Fatalf("seed %d: planned decision %v != naive %v", seed, pok, sok)
 		}
 		if pok && !semijoinWitnesses(u, exs, pp) {
 			t.Fatalf("seed %d: planned predicate %v fails example verification", seed, u.Decode(pp))
@@ -93,8 +89,9 @@ func TestSemijoinPlannedVsStaticDecisions(t *testing.T) {
 
 // All-positives instances collapse immediately: once every remaining family
 // is free the planned search must stop without walking the remaining
-// positives, so its node count stays below the static search's (which visits
-// one node per positive on the success path).
+// positives, so its node count stays below the static order's (which visits
+// one node per positive on the success path; the naive search walks the
+// static order's tree node for node).
 func TestSemijoinPlannedShortCircuitsCollapsedSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	u := randomUniverse(rng, 2, 2, 24, 6, 2)
@@ -103,14 +100,55 @@ func TestSemijoinPlannedShortCircuitsCollapsedSpace(t *testing.T) {
 		exs = append(exs, SemijoinExample{Left: i, Positive: true})
 	}
 	_, pok, pstats, _ := SemijoinConsistent(u, exs, 1<<22)
-	prev := plan.SetDisabled(true)
-	_, sok, sstats, _ := SemijoinConsistent(u, exs, 1<<22)
-	plan.SetDisabled(prev)
+	_, sok, sstats, _ := SemijoinConsistentNaive(u, exs, 1<<22)
 	if !pok || !sok {
-		t.Fatalf("all-positive instance must be consistent (planned %v, static %v)", pok, sok)
+		t.Fatalf("all-positive instance must be consistent (planned %v, naive %v)", pok, sok)
 	}
 	if pstats.NodesExplored >= sstats.NodesExplored {
-		t.Fatalf("planned search explored %d nodes, static %d — short-circuit did not fire",
+		t.Fatalf("planned search explored %d nodes, static order %d — short-circuit did not fire",
 			pstats.NodesExplored, sstats.NodesExplored)
+	}
+}
+
+// classify's certainly-rejected probe is an any-of subset check, so the
+// order orderNegatives gives the negative down-sets must not change a
+// verdict: every pair classifies alike with the negatives in maximalSets
+// order.
+func TestClassifyIgnoresNegativeOrder(t *testing.T) {
+	reordered := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(900 + seed))
+		u := randomUniverse(rng, 2+rng.Intn(4), 2+rng.Intn(4), 6+rng.Intn(10), 6+rng.Intn(10), 3)
+		s := NewSession(u)
+		if err := s.Record(0, 0, true); err != nil {
+			t.Fatal(err)
+		}
+		var negs []PairSet
+		for li := 0; li < u.Left.Len(); li++ {
+			for ri := 0; ri < u.Right.Len(); ri++ {
+				if pn := u.Agree(li, ri).Intersect(s.Pmax); !pn.Equal(s.Pmax) && rng.Intn(3) == 0 {
+					negs = append(negs, pn)
+				}
+			}
+		}
+		raw := maximalSets(negs)
+		ordered := orderNegatives(raw)
+		if !slices.EqualFunc(raw, ordered, PairSet.Equal) {
+			reordered++
+		}
+		for li := 0; li < u.Left.Len(); li++ {
+			for ri := 0; ri < u.Right.Len(); ri++ {
+				s.negatives = raw
+				want := s.classify(li, ri)
+				s.negatives = ordered
+				if got := s.classify(li, ri); got != want {
+					t.Fatalf("seed %d pair (%d,%d): classify %d with ordered negatives, %d in maximalSets order",
+						seed, li, ri, got, want)
+				}
+			}
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("orderNegatives never reordered the negatives")
 	}
 }
