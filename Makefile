@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: all build test vet bench-check bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
+.PHONY: all build test vet bench-check bench-recover bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
 
 all: build
 
@@ -22,6 +22,17 @@ vet:
 # before the benchmark does.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The full-size recover workload, untraced then traced (~2 min on 2 vCPUs):
+# querylearnd boots on a 45k-session journal and clients finish recovered
+# dialogues. Fails if either run exits non-zero (a build break, a crashed
+# daemon, a failed or incorrect dialogue). bench-check's smoke run shrinks
+# the corpus and the window; this runs the size the benchmark measures. Not
+# part of ci: it takes minutes, and its timings only mean something across
+# alternating runs (bash bench/run.sh -compare).
+bench-recover:
+	bash bench/run.sh --workload recover --seed 1 --seconds 15 --trace 0
+	bash bench/run.sh --workload recover --seed 1 --seconds 15 --trace 1
 
 # Quick sanity pass over the tentpole benchmarks (naive vs optimized
 # evaluation core); catches gross perf/correctness regressions in seconds.

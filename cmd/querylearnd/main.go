@@ -100,9 +100,10 @@ type clusterConfig struct {
 func (cc clusterConfig) enabled() bool { return cc.node != "" || cc.peers != "" }
 
 // openManager builds the session manager, and — when a data directory is
-// configured — opens the journal under it, recovers every surviving session
-// through the Resume machinery, and wires the store in as the manager's
-// journal. The returned store is nil when running in-memory.
+// configured — opens the journal under it, registers every surviving session
+// through the Resume machinery (each builds its learner on first use), and
+// wires the store in as the manager's journal. The returned store is nil
+// when running in-memory.
 // The optional prep hook runs between store open and manager construction —
 // the cluster layer uses it to install its ring-aware id minter, which needs
 // the store but must exist before the manager does.
@@ -124,10 +125,10 @@ func openManager(cfg session.Config, sc storeConfig, prep func(*store.Store, *se
 	mgr := session.NewManager(cfg)
 	n, recErr := mgr.Recover(snaps)
 	if recErr != nil {
-		fmt.Fprintf(os.Stderr, "querylearnd: recovery skipped sessions: %v\n", recErr)
+		fmt.Fprintf(os.Stderr, "querylearnd: recovery skipped invalid snapshots: %v\n", recErr)
 	}
 	rs := st.Stats().Recovered
-	fmt.Fprintf(os.Stderr, "querylearnd: recovered %d of %d journaled sessions from %s (%d events)\n",
+	fmt.Fprintf(os.Stderr, "querylearnd: recovered %d of %d journaled sessions from %s (%d events); each builds its learner on first use\n",
 		n, rs.Sessions, sc.dataDir, rs.Events)
 	if rs.TornTail != "" {
 		fmt.Fprintf(os.Stderr, "querylearnd: journal had a torn tail (%d bytes dropped): %s\n",

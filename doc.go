@@ -62,7 +62,8 @@
 //	internal/store       append-only write-ahead journal: length-prefixed
 //	        │            CRC-checked records, group-commit fsync, snapshot
 //	        │            compaction; recovery folds the log into
-//	        ▼            session.Snapshots that Manager.Recover replays
+//	        │            session.Snapshots that Manager.Recover registers
+//	        ▼            cold (each learner is built on first touch)
 //	internal/codec       journal record wire format v2: varint/zigzag binary
 //	                     event encoding with a per-file string intern table
 //	                     (dictionary records), dispatched per record by its

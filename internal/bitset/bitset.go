@@ -1,14 +1,8 @@
 // Package bitset provides dense fixed-capacity bit sets over []uint64
-// words — the set representation behind the interned-ID evaluation core:
-// product-BFS frontiers in internal/graph, candidate selection sets in
-// internal/graphlearn, and the agreement-set algebra in internal/rellearn.
-//
-// All binary operations require both operands to have the same capacity;
-// they operate in place on the receiver so hot loops can reuse scratch sets
-// without allocating.
+// words — the membership sets of the interned-ID evaluation core: the BFS
+// visited set in internal/graph and the candidate selection sets in
+// internal/graphlearn.
 package bitset
-
-import "math/bits"
 
 // Set is a dense bit set with fixed capacity. The zero value is an empty
 // set of capacity 0; construct with New.
@@ -28,68 +22,8 @@ func (s *Set) Cap() int { return s.n }
 // Add inserts bit i.
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Remove deletes bit i.
-func (s *Set) Remove(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Has reports membership of bit i.
 func (s *Set) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Empty reports whether no bit is set.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clear removes every bit, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Clone returns a copy.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
-
-// Copy overwrites s with t (same capacity).
-func (s *Set) Copy(t *Set) { copy(s.words, t.words) }
-
-// Or sets s to s ∪ t.
-func (s *Set) Or(t *Set) {
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
-// And sets s to s ∩ t.
-func (s *Set) And(t *Set) {
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// AndNot sets s to s \ t.
-func (s *Set) AndNot(t *Set) {
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
 
 // Grow extends the capacity to n bits, preserving contents; a no-op when n
 // does not exceed the current capacity. It exists for the sparse interned
@@ -106,69 +40,3 @@ func (s *Set) Grow(n int) {
 	}
 	s.n = n
 }
-
-// Fill sets every bit in 0..Cap()-1.
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	if r := uint(s.n) & 63; r != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] = (1 << r) - 1
-	}
-}
-
-// Equal reports set equality (capacities assumed equal).
-func (s *Set) Equal(t *Set) bool {
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports s ⊆ t.
-func (s *Set) SubsetOf(t *Set) bool {
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports s ∩ t ≠ ∅.
-func (s *Set) Intersects(t *Set) bool {
-	for i, w := range s.words {
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ForEach calls fn for every set bit in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// AppendSlice appends the set bits in ascending order to dst.
-func (s *Set) AppendSlice(dst []int) []int {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// Slice returns the set bits in ascending order.
-func (s *Set) Slice() []int { return s.AppendSlice(nil) }

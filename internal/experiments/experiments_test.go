@@ -152,16 +152,16 @@ func TestT11ServiceServesDialogues(t *testing.T) {
 
 func TestT12DurabilityRuns(t *testing.T) {
 	tab := T12Durability(1)
-	if len(tab.Rows) != 7 {
-		t.Fatalf("expected 4 ingest + 3 recovery rows, got %d: %v", len(tab.Rows), tab.Rows)
+	if len(tab.Rows) != 10 {
+		t.Fatalf("expected 4 ingest + 3 recovery + 3 first-touch rows, got %d: %v", len(tab.Rows), tab.Rows)
 	}
 	for _, row := range tab.Rows {
 		if row[2] == "ERROR" {
 			t.Errorf("%s/%s bench failed: %v", row[0], row[1], row[3])
 			continue
 		}
-		if row[0] == "recover" && row[2] == "0" {
-			t.Errorf("recovery row recovered nothing: %v", row)
+		if (row[0] == "recover" || row[0] == "first touch") && row[2] == "0" {
+			t.Errorf("%s row covered no session: %v", row[0], row)
 		}
 	}
 }

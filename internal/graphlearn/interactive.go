@@ -51,7 +51,7 @@ type Session struct {
 	slots    map[graph.Pair]int
 	// selects[i] is candidate i's membership over the universe.
 	selects []*bitset.Set
-	// selCount[i] caches selects[i].Count() for Result's tie-breaking.
+	// selCount[i] caches the size of selects[i] for Result's tie-breaking.
 	selCount []int
 	labeled  *bitset.Set
 	Pool     []graph.Pair

@@ -9,8 +9,9 @@
 // snapshot/resume so a dialogue can be persisted and rehydrated mid-flight.
 // Every state mutation flows through the Manager's single commit path as an
 // Event, which an optional Journal (internal/store's write-ahead log)
-// observes write-ahead; boot-time recovery replays journaled state back in
-// through the same Resume machinery. internal/server exposes the whole
+// observes write-ahead; boot-time recovery registers journaled state through
+// the same Resume machinery, and each recovered session rebuilds its learner
+// from its answer log on first touch. internal/server exposes the whole
 // thing over HTTP.
 package session
 

@@ -123,10 +123,10 @@ type Manager struct {
 // Manager — create, resume, answers, delete, evict — is expressed as an
 // Event and routed here, write-ahead. With a journal configured the event
 // must append before the mutation proceeds; an append failure aborts it.
-// Boot-time recovery replays with journal=false because the journal already
-// contains the state being rebuilt. tr (nil-safe) attributes the append to
-// the request's journal.append phase; a TracedJournal additionally breaks
-// out its own internal phases (fsync wait) on the same trace.
+// Boot-time recovery registers with journal=false because the journal
+// already contains the state being registered. tr (nil-safe) attributes the
+// append to the request's journal.append phase; a TracedJournal additionally
+// breaks out its own internal phases (fsync wait) on the same trace.
 func (m *Manager) commit(tr *obs.Trace, ev Event, journal bool) error {
 	if journal && m.cfg.Journal != nil {
 		done := tr.StartPhase("journal.append")
@@ -210,9 +210,12 @@ func (m *Manager) mintID() string {
 type Session struct {
 	mu sync.Mutex
 
-	id      string
-	model   string
-	task    string
+	id    string
+	model string
+	task  string
+	// learner is nil while the session is cold: Recover and Adopt register
+	// the journaled state without building, and the first operation that
+	// needs the learner builds it (ensureLearner).
 	learner Learner
 	// limits records the EFFECTIVE session limits (path model only) for
 	// snapshots and journal events, so a resume — even on a daemon with
@@ -227,8 +230,8 @@ type Session struct {
 	answerKeys []string
 	hits       int
 	maxCost    float64
-	createdAt time.Time
-	failed    error
+	createdAt  time.Time
+	failed     error
 	// evicted is set under mu when the session leaves the manager (TTL
 	// sweep or DELETE), so an operation racing the eviction fails instead
 	// of silently applying labels to an unreachable session.
@@ -272,15 +275,12 @@ func (m *Manager) CreateTraced(model, task string, opts CreateOptions, tr *obs.T
 	if err := m.reserve(); err != nil {
 		return nil, err
 	}
-	buildDone := tr.StartPhase("learner.build")
-	learner, err := NewLimited(model, task, lim)
-	buildDone()
+	learner, err := m.build(model, task, lim, nil, tr)
 	if err != nil {
 		m.live.Add(-1)
 		return nil, err
 	}
 	drainPlan(learner, tr)
-	m.attachCache(learner)
 	s := m.newSession(m.mintID(), model, task, learner, opts.MaxCost)
 	if model == "path" {
 		// Stamp the EFFECTIVE limits, not the request's: a snapshot must
@@ -299,6 +299,26 @@ func (m *Manager) CreateTraced(model, task string, opts CreateOptions, tr *obs.T
 		return nil, err
 	}
 	return s, nil
+}
+
+// build is the one way a session's learner comes to exist: parse the task
+// under its effective limits, attach the manager-wide decode memo and replay
+// the answer log, all inside tr's learner.build phase. Create builds with no
+// answers and a client Resume builds eagerly; a session that Recover or
+// Adopt registered cold builds on its first touch (Session.ensureLearner).
+func (m *Manager) build(model, task string, lim Limits, answers []Answer, tr *obs.Trace) (Learner, error) {
+	defer tr.StartPhase("learner.build")()
+	l, err := NewLimited(model, task, lim)
+	if err != nil {
+		return nil, err
+	}
+	m.attachCache(l)
+	for i, a := range answers {
+		if err := l.Record(a.Item, a.Positive); err != nil {
+			return nil, fmt.Errorf("session: replaying snapshot answer %d: %w", i, err)
+		}
+	}
+	return l, nil
 }
 
 // finishRemoval is the one removal sequence every eviction path (Delete,
@@ -546,15 +566,18 @@ func (m *Manager) ResumeTraced(snap Snapshot, tr *obs.Trace) (*Session, error) {
 	return m.resume(snap, true, true, tr)
 }
 
-// Recover replays recovered snapshots back into live sessions through the
-// same Resume machinery clients use — replay is the one way state is ever
-// reconstructed. Journaling is disabled because the journal already contains
-// the state being rebuilt, and the untrusted-snapshot cost check is relaxed
-// to its structural part (crowd cost is rederived from the replayed HITs at
-// the current rate, so a -cost-per-hit change cannot destroy sessions).
-// Sessions that fail to replay (inconsistent answer logs, forged HITs) are
-// skipped; Recover reports how many came back and joins the per-session
-// errors.
+// Recover registers recovered snapshots as live sessions through the same
+// resume machinery clients use, but cold: each keeps its journaled answer
+// log and builds its learner on first touch, so boot work is paid only for
+// the sessions that are used again. Journaling is disabled because the
+// journal already contains the state being registered, and the
+// untrusted-snapshot cost check is relaxed to its structural part (crowd
+// cost is rederived from the HITs at the current rate, so a -cost-per-hit
+// change cannot destroy sessions). A session whose answers no longer replay
+// is still registered; its first touch marks it failed (ErrFailed).
+// Structurally invalid snapshots (a live id, fewer HITs than answers) are
+// skipped; Recover reports how many it registered and joins the
+// per-session errors.
 func (m *Manager) Recover(snaps []Snapshot) (int, error) {
 	m.compactMu.RLock()
 	defer m.compactMu.RUnlock()
@@ -577,7 +600,8 @@ func (m *Manager) Recover(snaps []Snapshot) (int, error) {
 // like Recover the snapshots are trusted (they come from a peer's journal,
 // not a client), so the untrusted cost/limit checks are relaxed and a
 // -cost-per-hit or limits mismatch between peers cannot destroy sessions.
-// Sessions that fail to replay are skipped and reported, like Recover.
+// Like Recover, adopted sessions are registered cold and build on first
+// touch.
 func (m *Manager) Adopt(snaps []Snapshot) (int, error) {
 	m.compactMu.RLock()
 	defer m.compactMu.RUnlock()
@@ -633,7 +657,9 @@ func (m *Manager) validateSnapshot(snap Snapshot, untrusted bool) error {
 // distinguishes client-supplied snapshots (full cost/limit validation) from
 // the daemon's or a peer's own journal (structural checks only). The
 // combinations in use: client resume (true, true), boot recovery (false,
-// false), failover adoption (true, false).
+// false), failover adoption (true, false). An untrusted snapshot is built
+// and replayed here, so one that does not replay is rejected at resume time;
+// a trusted one is registered cold (see ensureLearner).
 func (m *Manager) resume(snap Snapshot, journalIt, untrusted bool, tr *obs.Trace) (*Session, error) {
 	if snap.ID == "" {
 		return nil, fmt.Errorf("session: snapshot has no id")
@@ -663,28 +689,20 @@ func (m *Manager) resume(snap Snapshot, journalIt, untrusted bool, tr *obs.Trace
 	// Resumed answer logs (client snapshots, boot recovery) fold into the
 	// same shared vocabulary as live batches.
 	m.intern.internAnswers(snap.Answers)
-	buildDone := tr.StartPhase("learner.build")
-	learner, err := NewLimited(snap.Model, snap.Task, lim)
-	if err != nil {
-		buildDone()
-		m.live.Add(-1)
-		return nil, err
-	}
-	m.attachCache(learner)
-	for i, a := range snap.Answers {
-		if err := learner.Record(a.Item, a.Positive); err != nil {
-			buildDone()
+	var learner Learner
+	if untrusted {
+		if learner, err = m.build(snap.Model, snap.Task, lim, snap.Answers, tr); err != nil {
 			m.live.Add(-1)
-			return nil, fmt.Errorf("session: replaying snapshot answer %d: %w", i, err)
+			return nil, err
 		}
 	}
-	buildDone()
 	s := m.newSession(snap.ID, snap.Model, snap.Task, learner, snap.MaxCost)
 	if snap.Model == "path" {
-		// Stamp the effective limits the learner was actually rebuilt with,
-		// exactly like Create: a legacy limits-free snapshot is thereby
-		// pinned to this daemon's current defaults from now on, instead of
-		// silently reshaping on every future flag change.
+		// Stamp the effective limits the learner is built with, exactly
+		// like Create: a legacy limits-free snapshot is thereby pinned to
+		// this daemon's current defaults from now on, instead of silently
+		// reshaping on every future flag change. A cold session's first
+		// touch rebuilds under these.
 		s.limits = lim.wire()
 	}
 	s.answers = append(s.answers, snap.Answers...)
@@ -771,6 +789,28 @@ func (s *Session) checkLive() error {
 	return nil
 }
 
+// ensureLearner builds a cold session's learner on its first touch, under
+// s.mu and inside tr's learner.build phase; later calls return at once. A
+// session whose task no longer parses or whose answers no longer replay is
+// marked failed, so every later operation reports ErrFailed and Status
+// shows why.
+func (s *Session) ensureLearner(tr *obs.Trace) error {
+	if s.learner == nil && s.failed == nil {
+		// s.limits holds the effective path limits stamped at registration
+		// (nil for the other models, which take no limits), so the merge
+		// reproduces the limits the session was journaled under.
+		lim, err := s.mgr.cfg.Limits.Merge(s.limits, false)
+		if err == nil {
+			s.learner, err = s.mgr.build(s.model, s.task, lim, s.answers, tr)
+		}
+		s.failed = err
+	}
+	if s.learner == nil {
+		return fmt.Errorf("%w: %v", ErrFailed, s.failed)
+	}
+	return nil
+}
+
 // Question proposes the next question. ok=false means converged.
 func (s *Session) Question() (Question, bool, error) {
 	qs, err := s.Questions(1)
@@ -796,6 +836,9 @@ func (s *Session) QuestionsTraced(k int, tr *obs.Trace) ([]Question, error) {
 	defer s.mu.Unlock()
 	s.touch()
 	if err := s.checkLive(); err != nil {
+		return nil, err
+	}
+	if err := s.ensureLearner(tr); err != nil {
 		return nil, err
 	}
 	proposeDone := tr.StartPhase("learner.propose")
@@ -859,6 +902,9 @@ func (s *Session) AnswerIdemTraced(batch []Answer, reconcile, key string, tr *ob
 	defer s.mu.Unlock()
 	s.touch()
 	if err := s.checkLive(); err != nil {
+		return AnswerResult{}, false, err
+	}
+	if err := s.ensureLearner(tr); err != nil {
 		return AnswerResult{}, false, err
 	}
 	if key != "" {
@@ -943,8 +989,9 @@ func (s *Session) AnswerIdemTraced(batch []Answer, reconcile, key string, tr *ob
 			// Genuine inconsistency: no hypothesis fits the answers. The
 			// batch's event is already durable, so left alone it would
 			// poison every future boot (replaying it fails the same way,
-			// dropping the whole session) — and a half-applied answer log
-			// must not be what Snapshot() or a compaction captures. Roll
+			// failing the whole session at its first touch) — and a
+			// half-applied answer log must not be what Snapshot() or a
+			// compaction captures. Roll
 			// the accounting back to the pre-batch state and journal a
 			// compensating snapshot record that restores it, so recovery
 			// resurrects the session at its last consistent state while
@@ -954,8 +1001,8 @@ func (s *Session) AnswerIdemTraced(batch []Answer, reconcile, key string, tr *ob
 			comp := s.snapshotLocked()
 			if cerr := s.mgr.commit(tr, Event{Kind: EventSnapshot, ID: s.id, Snapshot: &comp}, true); cerr != nil {
 				// Disk and version space both broken: the failed mark
-				// already stops further use; recovery will skip the
-				// session with an error.
+				// already stops further use; a recovered copy fails
+				// again at its first touch.
 				err = errors.Join(err, cerr)
 			}
 			return AnswerResult{}, false, fmt.Errorf("%w: %v", ErrFailed, err)
@@ -1037,6 +1084,9 @@ func (s *Session) HypothesisTraced(tr *obs.Trace) (Hypothesis, error) {
 	s.touch()
 	if s.evicted {
 		return Hypothesis{}, ErrNotFound
+	}
+	if err := s.ensureLearner(tr); err != nil {
+		return Hypothesis{}, err
 	}
 	h, err := s.learner.Hypothesis()
 	drainPlan(s.learner, tr)

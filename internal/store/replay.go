@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"querylearn/internal/codec"
 	"querylearn/internal/session"
@@ -79,15 +80,21 @@ func replayJournal(r io.Reader) replayResult {
 			res.skipped++
 		}
 	}
-	res.snaps = make([]session.Snapshot, 0, len(states))
+	// Oldest session first. Sort pointers and copy each value out once:
+	// a reflective sort of the values moves whole Snapshots on every swap.
+	order := make([]*session.Snapshot, 0, len(states))
 	for _, s := range states {
-		res.snaps = append(res.snaps, *s)
+		order = append(order, s)
 	}
-	sort.Slice(res.snaps, func(i, j int) bool {
-		if !res.snaps[i].CreatedAt.Equal(res.snaps[j].CreatedAt) {
-			return res.snaps[i].CreatedAt.Before(res.snaps[j].CreatedAt)
+	slices.SortFunc(order, func(a, b *session.Snapshot) int {
+		if c := a.CreatedAt.Compare(b.CreatedAt); c != 0 {
+			return c
 		}
-		return res.snaps[i].ID < res.snaps[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
+	res.snaps = make([]session.Snapshot, len(order))
+	for i, s := range order {
+		res.snaps[i] = *s
+	}
 	return res
 }

@@ -10,8 +10,9 @@
 // Manager emits every state mutation as a session.Event through its single
 // commit path; the Store appends those events write-ahead; boot-time
 // recovery folds the journal back into session.Snapshots (via
-// session.ApplyEvent, the one replay rule) that Manager.Recover replays into
-// live sessions through the ordinary Resume machinery.
+// session.ApplyEvent, the one replay rule) that Manager.Recover registers as
+// live sessions through the ordinary Resume machinery; each session replays
+// its answers into a fresh learner on first touch.
 //
 // Durability modes trade throughput for the crash window:
 //
@@ -30,6 +31,7 @@
 package store
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -342,7 +344,9 @@ func (st *Store) rewrite(snaps []session.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	w := st.faultW(tmp, PointCompactWrite)
+	// One buffered writer over the fault point: framing each of tens of
+	// thousands of records with its own write(2) dominated the rewrite.
+	w := bufio.NewWriterSize(st.faultW(tmp, PointCompactWrite), 256<<10)
 	var size int64
 	// A fresh per-file encoder: the rewrite defines the new file's
 	// dictionary from scratch (only installed as st.enc once the rename
@@ -379,6 +383,11 @@ func (st *Store) rewrite(snaps []session.Snapshot) error {
 				return fmt.Errorf("store: writing compacted journal: %w", err)
 			}
 		}
+	}
+	if err := w.Flush(); err != nil {
+		tmp.Close()
+		os.Remove(scratch)
+		return fmt.Errorf("store: writing compacted journal: %w", err)
 	}
 	records := int64(len(dicts) + len(events))
 	if st.bytesOut != nil {
