@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: all build test vet bench-check bench-recover bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
+.PHONY: all build test vet fmt-check bench-check bench-recover bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
 
 all: build
 
@@ -13,6 +13,15 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any Go file in the tree, the bench module included, is not
+# gofmt-formatted; the listing names the files to run gofmt -w on.
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need gofmt -w:"; \
+		echo "$$unformatted"; exit 1; \
+	fi
 
 # The benchmark (bench/) is a module of its own that imports internal
 # packages, so the root build and tests never compile it: vet it and run its
@@ -122,4 +131,4 @@ api-check:
 		echo "$$leaks"; exit 1; \
 	fi
 
-ci: build vet test bench-check bench-smoke bench-t14 bench-recovery bench-t19 chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check
+ci: build vet fmt-check test bench-check bench-smoke bench-t14 bench-recovery bench-t19 chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check

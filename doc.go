@@ -91,13 +91,16 @@
 // cardinality estimates read from structures the engines already hold (CSR
 // degree rows, candidate popcounts, pool sizes), cheapest-first ordering
 // (Pick/Order), and a streaming Sink contract with early
-// termination. graph.EvalPairs puts its 64-lane bit-parallel passes on the
-// pool side with fewer distinct nodes (sources forward, destinations
-// backward), graph.Selects picks a probe's direction from frontier
-// estimates, rellearn's semijoin search re-ranks witness families per node by
-// surviving-candidate popcount, and the graphlearn/session layers consume
-// streamed verdicts so a collapsed candidate pool stops evaluation
-// mid-flight. Decisions surface as querylearn_plan_* metrics and a "plan"
+// termination. graph.EvalPairsMany puts its 64-lane bit-parallel passes on
+// the pool side with fewer distinct nodes (sources forward, destinations
+// backward) once for a whole query set, and each pass walks a trie of the
+// queries' atom sequences so shared atoms are evaluated once;
+// graph.Selects picks a probe's direction from frontier estimates,
+// rellearn's semijoin search re-ranks witness families per node by
+// surviving-candidate popcount, and a graphlearn session build judges its
+// candidates on the labeled pairs in one shared call before the survivors'
+// pool-wide one, so an eliminated candidate never pays for the pool.
+// Decisions surface as querylearn_plan_* metrics and a "plan"
 // request-trace phase. There is no planning switch: the naive oracles are
 // the unplanned reference the differential tests compare against. See
 // README.md's "Query planning".
@@ -105,7 +108,7 @@
 // Scale: interactive path sessions run on a sparse, pool-projected version
 // space — candidate membership is interned over the question pool (pool ∪
 // task examples ∪ seed) and evaluated by the pool-restricted
-// graph.EvalPairs, so per-session memory is O(candidates × pool) bits and
+// graph.EvalPairsMany, so per-session memory is O(candidates × pool) bits and
 // the old dense-bitset 4096-node graph cap is gone. Session limits are
 // daemon flags (-path-max-nodes, default one million nodes; -path-pool-limit;
 // -path-pool-max-len; -max-body-bytes for the edge-list bodies) that create

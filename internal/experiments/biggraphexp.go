@@ -120,7 +120,7 @@ func T14BigGraphSessions(scale int) *Table {
 	t.Notes = append(t.Notes,
 		"full /v1 dialogues through the pkg/client SDK against an httptest daemon (WithMaxBodyBytes raised for the edge-list bodies)",
 		"heap MB is the post-GC heap growth of hosting the session — dominated by the parsed O(nodes+edges) graph, with the version space contributing O(candidates × pool) bits; it also counts the evaluation scratch creation leaves in a sync.Pool for the next build (up to about 60 bytes per node per GOMAXPROCS worker), which a second collection without builds drops",
-		"creation evaluates each candidate over the pool in bit-parallel passes of 64 sources (or destinations), closing starred labels over their strongly connected components; the passes fan out over GOMAXPROCS workers",
+		"creation evaluates all the candidates over the pool in one shared call: bit-parallel passes of 64 sources (or destinations), each applying the atoms the candidates share once and closing starred labels over their strongly connected components; the passes fan out over GOMAXPROCS workers",
 		"dense n² MB is what the pre-PR5 engine's candidate bitsets (cands × n² bits) would have needed; it rejected these graphs at 4096 nodes")
 	return t
 }

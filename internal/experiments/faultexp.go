@@ -25,9 +25,9 @@ import (
 // served fraction tracks it.
 func T15FaultAvailability(scale int) *Table {
 	t := &Table{
-		ID:    "T15",
-		Title: "availability under injected faults (degraded reads, probe heal)",
-		Claim: "journal loss degrades writes, never reads: reads serve 200 throughout, mutations 503 cleanly, and the probe heals within its backoff interval",
+		ID:     "T15",
+		Title:  "availability under injected faults (degraded reads, probe heal)",
+		Claim:  "journal loss degrades writes, never reads: reads serve 200 throughout, mutations 503 cleanly, and the probe heals within its backoff interval",
 		Header: []string{"phase", "requests", "reads 200", "mutations ok", "rejected 5xx/429", "degraded"},
 	}
 	rounds := 50 * scale

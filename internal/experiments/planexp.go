@@ -79,12 +79,8 @@ func t19Graph(t *Table, nodes, nSources, naiveSubset int) {
 	g.EvalPairs(t19Query, pairs[:1])
 
 	var rec plan.Recorder
-	planned := make([]bool, len(pairs))
 	start := time.Now()
-	g.EvalPairsStream(t19Query, pairs, &rec, func(v graph.PairVerdict) bool {
-		planned[v.Index] = v.Selected
-		return true
-	})
+	planned := g.EvalPairsMany([]graph.PathQuery{t19Query}, pairs, &rec)[0]
 	plannedMS := time.Since(start).Seconds() * 1000
 	_, decisions, _ := rec.Drain()
 	work := ""

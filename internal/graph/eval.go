@@ -239,14 +239,10 @@ func (ev *pairEvaluator) selects(dst int) bool {
 // passes, the lanes carry destinations backward instead. Work follows the
 // passes and the part of the graph they reach, never the n² pair space, so
 // candidate membership over a question pool stays cheap on graphs far beyond
-// the all-pairs regime. Pair node indexes must be valid.
+// the all-pairs regime. It is EvalPairsMany over one query, whose trie is a
+// single chain. Pair node indexes must be valid.
 func (g *Graph) EvalPairs(q PathQuery, pairs []Pair) []bool {
-	out := make([]bool, len(pairs))
-	g.EvalPairsStream(q, pairs, nil, func(v PairVerdict) bool {
-		out[v.Index] = v.Selected
-		return true
-	})
-	return out
+	return g.EvalPairsMany([]PathQuery{q}, pairs, nil)[0]
 }
 
 // SelectsMany reports, for each query, whether it selects the pair — the

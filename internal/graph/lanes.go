@@ -1,17 +1,22 @@
 // Bit-parallel multi-source evaluation behind Eval, EvalPairs and
-// EvalPairsStream, after Then et al., "The More the Merrier: Efficient
+// EvalPairsMany, after Then et al., "The More the Merrier: Efficient
 // Multi-Source Graph Traversal" (PVLDB 8(4), 2014).
 //
 // A lane is one bit of a uint64 and tracks one source (or, backward, one
-// destination); a pass carries up to 64 lanes through the query's chain
-// automaton at once. Every node holds the lane mask of the current state, and
+// destination); a pass carries up to 64 lanes through the queries' chain
+// automata at once. Every node holds the lane mask of the current state, and
 // an atom turns it into the next state's masks: a plain atom ORs each mask
 // one hop along the label, a starred atom closes the masks over the label's
 // strongly connected components (Tarjan's condensation, built lazily from the
 // nodes a pass touches), so a pass visits each reached component once instead
 // of once per source. Eval runs every node with a possible first step as a
-// source; EvalPairs lets the lanes ride the side whose distinct nodes fill
-// fewer passes, sources on a tie.
+// source; EvalPairsMany lets the lanes ride the side whose distinct nodes
+// fill fewer passes, sources on a tie, and schedules them once for all its
+// queries. A pass walks a trie of the queries' atom sequences in lane order
+// depth first, so atoms the queries share are applied once per pass: a
+// branching node saves its state and restores it before each later child,
+// and a query reads its verdicts where its sequence ends. One query is a
+// chain, the plain single-query pass.
 package graph
 
 import (
@@ -55,6 +60,15 @@ type laneScratch struct {
 	// conds[l] is label l's condensation; live lists the labels in use.
 	conds []*condensation
 	live  []int
+	// saved stacks the states of the trie nodes a walk will branch from
+	// again; it is empty between passes and keeps its capacity.
+	saved []savedMask
+}
+
+// savedMask is one touched node of a saved state and its lane mask.
+type savedMask struct {
+	node int32
+	mask uint64
 }
 
 type dfsFrame struct {
@@ -62,8 +76,7 @@ type dfsFrame struct {
 	edge int32 // next CSR edge of node to explore
 }
 
-// lanePool recycles scratch across calls; a session build runs a dozen
-// EvalPairsStream calls on one graph back to back.
+// lanePool recycles scratch across calls and across the workers of a call.
 var lanePool sync.Pool
 
 func getLanes(n int) *laneScratch {
@@ -245,31 +258,115 @@ type laneAtom struct {
 	star bool
 }
 
-// pass carries lane i from starts[i] through the atoms over adj. On return
-// cur holds, per node, the lanes that reach it with every atom consumed; the
-// caller reads its verdicts and then clears.
-func (s *laneScratch) pass(atoms []laneAtom, adj []csr, starts []int32) {
+// laneAtoms resolves the query's atoms against the index.
+func laneAtoms(ix *labelIndex, q PathQuery) []laneAtom {
+	atoms := make([]laneAtom, len(q.Atoms))
+	for i, a := range q.Atoms {
+		lid, ok := ix.labelIDs[a.Label]
+		if !ok {
+			lid = -1
+		}
+		atoms[i] = laneAtom{lid: lid, star: a.Star}
+	}
+	return atoms
+}
+
+// laneTrie merges a call's atom sequences, in the order the lanes apply
+// them, on their common prefixes. Node 0 is the root, where no atom is
+// consumed; every other node consumes its atom on entry from its parent.
+type laneTrie []trieNode
+
+type trieNode struct {
+	atom laneAtom
+	kids []int32 // child nodes, in insertion order
+	ends []int32 // the queries whose sequence ends here
+}
+
+func newLaneTrie() laneTrie { return laneTrie{{}} }
+
+// add inserts query q's atom sequence.
+func (t *laneTrie) add(atoms []laneAtom, q int32) {
+	v := int32(0)
+next:
+	for _, a := range atoms {
+		for _, c := range (*t)[v].kids {
+			if (*t)[c].atom == a {
+				v = c
+				continue next
+			}
+		}
+		c := int32(len(*t))
+		*t = append(*t, trieNode{atom: a})
+		(*t)[v].kids = append((*t)[v].kids, c)
+		v = c
+	}
+	(*t)[v].ends = append((*t)[v].ends, q)
+}
+
+// pass carries lane i from starts[i] through the trie over adj and calls
+// at(q) where query q's sequence ends, with cur holding, per node, the lanes
+// that reach it with every atom of q consumed. A query whose lanes all die
+// earlier gets no call. The caller clears cur afterwards.
+func (s *laneScratch) pass(t laneTrie, adj []csr, starts []int32, at func(q int32)) {
 	for i, v := range starts {
 		if s.cur[v] == 0 {
 			s.curT = append(s.curT, v)
 		}
 		s.cur[v] |= 1 << i
 	}
-	for _, a := range atoms {
-		switch {
-		case len(s.curT) == 0:
-			return
-		case a.lid < 0 && a.star: // zero repetitions only
-			continue
-		case a.lid < 0:
-			s.clear()
-			return
-		case a.star:
-			s.star(adj[a.lid], s.cond(a.lid))
-		default:
-			s.step(adj[a.lid])
+	s.walk(t, 0, adj, at)
+}
+
+// walk reads the queries ending at trie node v from the state in cur, then
+// descends into each child with the child's atom applied. A node with
+// several children saves its state first and restores it before each later
+// child.
+func (s *laneScratch) walk(t laneTrie, v int32, adj []csr, at func(q int32)) {
+	if len(s.curT) == 0 {
+		return
+	}
+	for _, q := range t[v].ends {
+		at(q)
+	}
+	kids := t[v].kids
+	mark := len(s.saved)
+	if len(kids) > 1 {
+		for _, x := range s.curT {
+			s.saved = append(s.saved, savedMask{node: x, mask: s.cur[x]})
 		}
-		s.advance()
+	}
+	for i, c := range kids {
+		if i > 0 {
+			s.restore(s.saved[mark:])
+		}
+		if s.apply(t[c].atom, adj) {
+			s.walk(t, c, adj, at)
+		}
+	}
+	s.saved = s.saved[:mark]
+}
+
+// apply makes the state after atom a the current one, and reports false
+// when no lane can survive a: its label is absent and it is not starred.
+func (s *laneScratch) apply(a laneAtom, adj []csr) bool {
+	switch {
+	case a.lid < 0:
+		return a.star // zero repetitions only
+	case a.star:
+		s.star(adj[a.lid], s.cond(a.lid))
+	default:
+		s.step(adj[a.lid])
+	}
+	s.advance()
+	return true
+}
+
+// restore makes a saved state the current one.
+func (s *laneScratch) restore(saved []savedMask) {
+	s.clear()
+	for _, e := range saved {
+		s.cur[e.node] = e.mask
+		s.curT = append(s.curT, e.node)
 	}
 }
 
@@ -338,31 +435,34 @@ func (s *laneScratch) schedule(pairs []Pair, backward bool) schedule {
 
 func (sch *schedule) passes() int { return len(sch.start) - 1 }
 
-// emit streams pass p's verdicts from the final masks in w.cur, stopping at
-// the first false sink return.
-func (sch *schedule) emit(w *laneScratch, pairs []Pair, p int, sink plan.Sink[PairVerdict]) bool {
+// read writes one query's verdicts on pass p's pairs from the masks in
+// w.cur.
+func (sch *schedule) read(w *laneScratch, pairs []Pair, p int, out []bool) {
 	for _, i := range sch.order[sch.start[p]:sch.start[p+1]] {
 		probe := pairs[i].Dst
 		if sch.backward {
 			probe = pairs[i].Src
 		}
-		bit := uint64(1) << (sch.lane[i] % laneWidth)
-		if !sink(PairVerdict{Index: int(i), Selected: w.cur[probe]&bit != 0}) {
-			return false
-		}
+		out[i] = w.cur[probe]&(1<<(sch.lane[i]%laneWidth)) != 0
 	}
-	return true
 }
 
-// EvalPairsStream is EvalPairs with planner attribution and streaming
-// delivery: verdicts are emitted to the sink pass by pass (order
-// unspecified), and a false return from the sink stops the stream — passes
-// in flight complete but emit nothing further. The lanes ride the side with
-// fewer passes, forward on a tie; rec (nil-safe) receives the time spent
-// counting and the passes per direction for request-trace attribution.
-func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, sink plan.Sink[PairVerdict]) {
-	if len(pairs) == 0 || len(g.nodes) == 0 {
-		return
+// EvalPairsMany reports, for each query and each requested pair, whether the
+// query selects the pair: out[i][j] is qs[i]'s verdict on pairs[j]. The
+// lanes ride the side with fewer passes, forward on a tie, and one schedule
+// serves every query: each pass walks the trie of the queries' atom
+// sequences, so the atoms the queries share, prefixes forward and suffixes
+// backward, are evaluated once per pass. rec (nil-safe) receives the time
+// spent counting and the passes of the call's direction for request-trace
+// attribution. Pair node indexes must be valid.
+func (g *Graph) EvalPairsMany(qs []PathQuery, pairs []Pair, rec *plan.Recorder) [][]bool {
+	out := make([][]bool, len(qs))
+	flat := make([]bool, len(qs)*len(pairs))
+	for i := range out {
+		out[i] = flat[i*len(pairs) : (i+1)*len(pairs) : (i+1)*len(pairs)]
+	}
+	if len(qs) == 0 || len(pairs) == 0 || len(g.nodes) == 0 {
+		return out
 	}
 	s := getLanes(len(g.nodes))
 	defer putLanes(s)
@@ -373,69 +473,47 @@ func (g *Graph) EvalPairsStream(q PathQuery, pairs []Pair, rec *plan.Recorder, s
 	if backward {
 		choice = "backward"
 	}
-	rec.Decide(layerEvalPairs, choice, g.evalLanes(s, q, pairs, backward, sink))
+	rec.Decide(layerEvalPairs, choice, g.evalLanes(s, qs, pairs, backward, out))
+	return out
 }
 
-// evalLanes evaluates the pairs with the lanes on the given side, streaming
-// the verdicts, and returns the number of passes. s is the caller's scratch;
-// further workers draw their own.
-func (g *Graph) evalLanes(s *laneScratch, q PathQuery, pairs []Pair, backward bool, sink plan.Sink[PairVerdict]) int {
+// evalLanes evaluates the pairs with the lanes on the given side, writing
+// out[i][j] for qs[i] and pairs[j], and returns the number of passes. s is
+// the caller's scratch; further workers draw their own. Each pass writes
+// only its own pairs' verdicts.
+func (g *Graph) evalLanes(s *laneScratch, qs []PathQuery, pairs []Pair, backward bool, out [][]bool) int {
 	ix := g.index()
 	sch := s.schedule(pairs, backward)
-	atoms := laneAtoms(ix, q)
 	adj := ix.out
 	if backward {
 		adj = ix.in
-		slices.Reverse(atoms)
 	}
-	// Emission is serialized, and a false sink return stops every worker at
-	// its next pass.
-	passes := sch.passes()
-	var mu sync.Mutex
-	stopped := false
-	forPasses(len(g.nodes), passes, s, func(w *laneScratch, p int) bool {
-		w.pass(atoms, adj, sch.nodes[p*laneWidth:min((p+1)*laneWidth, len(sch.nodes))])
-		mu.Lock()
-		if !stopped && !sch.emit(w, pairs, p, sink) {
-			stopped = true
+	t := newLaneTrie()
+	for i, q := range qs {
+		atoms := laneAtoms(ix, q)
+		if backward {
+			slices.Reverse(atoms)
 		}
-		ok := !stopped
-		mu.Unlock()
+		t.add(atoms, int32(i))
+	}
+	passes := sch.passes()
+	forPasses(len(g.nodes), passes, s, func(w *laneScratch, p int) {
+		w.pass(t, adj, sch.nodes[p*laneWidth:min((p+1)*laneWidth, len(sch.nodes))], func(q int32) {
+			sch.read(w, pairs, p, out[q])
+		})
 		w.clear()
-		return ok
 	})
 	return passes
 }
 
-// laneAtoms resolves the query's atoms against the index.
-func laneAtoms(ix *labelIndex, q PathQuery) []laneAtom {
-	atoms := make([]laneAtom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		lid, ok := ix.labelIDs[a.Label]
-		if !ok {
-			lid = -1
-		}
-		atoms[i] = laneAtom{lid: lid, star: a.Star}
-	}
-	return atoms
-}
-
 // forPasses runs pass(w, p) once for each p in [0, passes) over up to
 // GOMAXPROCS workers, the caller's goroutine among them on scratch s; the
-// other workers draw their own scratch for n nodes. A false return stops
-// every worker at its next pass.
-func forPasses(n, passes int, s *laneScratch, pass func(w *laneScratch, p int) bool) {
-	var stop atomic.Bool
+// other workers draw their own scratch for n nodes.
+func forPasses(n, passes int, s *laneScratch, pass func(w *laneScratch, p int)) {
 	var cursor atomic.Int64
 	work := func(w *laneScratch) {
-		for !stop.Load() {
-			p := int(cursor.Add(1)) - 1
-			if p >= passes {
-				return
-			}
-			if !pass(w, p) {
-				stop.Store(true)
-			}
+		for p := int(cursor.Add(1)) - 1; p < passes; p = int(cursor.Add(1)) - 1 {
+			pass(w, p)
 		}
 	}
 	var wg sync.WaitGroup
@@ -482,16 +560,16 @@ func (g *Graph) Eval(q PathQuery) []Pair {
 			sources[v] = int32(v)
 		}
 	}
+	t := newLaneTrie()
+	t.add(atoms, 0)
 	passes := (len(sources) + laneWidth - 1) / laneWidth
 	found := make([][]Pair, passes)
 	s := getLanes(n)
 	defer putLanes(s)
-	forPasses(n, passes, s, func(w *laneScratch, p int) bool {
+	forPasses(n, passes, s, func(w *laneScratch, p int) {
 		starts := sources[p*laneWidth : min((p+1)*laneWidth, len(sources))]
-		w.pass(atoms, ix.out, starts)
-		found[p] = w.pairs(starts)
+		w.pass(t, ix.out, starts, func(int32) { found[p] = w.pairs(starts) })
 		w.clear()
-		return true
 	})
 	return slices.Concat(found...) // nil when no pass selected a pair
 }

@@ -10,18 +10,19 @@ import (
 	"querylearn/internal/plan"
 )
 
-// evalPairsDir runs the lane kernel with the lanes forced onto one side.
-func evalPairsDir(g *Graph, q PathQuery, pairs []Pair, backward bool) []bool {
-	out := make([]bool, len(pairs))
+// evalPairsDir runs the lane kernel over a query set with the lanes forced
+// onto one side.
+func evalPairsDir(g *Graph, qs []PathQuery, pairs []Pair, backward bool) [][]bool {
+	out := make([][]bool, len(qs))
+	for i := range out {
+		out[i] = make([]bool, len(pairs))
+	}
 	if len(pairs) == 0 || g.NumNodes() == 0 {
 		return out
 	}
 	s := getLanes(g.NumNodes())
 	defer putLanes(s)
-	g.evalLanes(s, q, pairs, backward, func(v PairVerdict) bool {
-		out[v.Index] = v.Selected
-		return true
-	})
+	g.evalLanes(s, qs, pairs, backward, out)
 	return out
 }
 
@@ -115,13 +116,9 @@ func TestDifferentialLanesVsNaive(t *testing.T) {
 			q := MustParsePathQuery(qs)
 			naive := g.EvalPairsNaive(q, p.pairs)
 			var rec plan.Recorder
-			got := make([]bool, len(p.pairs))
-			g.EvalPairsStream(q, p.pairs, &rec, func(v PairVerdict) bool {
-				got[v.Index] = v.Selected
-				return true
-			})
-			fwd := evalPairsDir(g, q, p.pairs, false)
-			bwd := evalPairsDir(g, q, p.pairs, true)
+			got := g.EvalPairsMany([]PathQuery{q}, p.pairs, &rec)[0]
+			fwd := evalPairsDir(g, []PathQuery{q}, p.pairs, false)[0]
+			bwd := evalPairsDir(g, []PathQuery{q}, p.pairs, true)[0]
 			for i, pr := range p.pairs {
 				if got[i] != naive[i] || fwd[i] != naive[i] || bwd[i] != naive[i] {
 					t.Fatalf("%s q=%q pair %v: EvalPairs=%v forward=%v backward=%v naive=%v",
@@ -154,16 +151,12 @@ func TestHubPoolRunsOneBackwardPass(t *testing.T) {
 		pairs = append(pairs, Pair{Src: g.NodeIndex(node("s", i)), Dst: hubID})
 	}
 	var rec plan.Recorder
-	g.EvalPairsStream(q, pairs[:64], &rec, func(PairVerdict) bool { return true })
+	g.EvalPairsMany([]PathQuery{q}, pairs[:64], &rec)
 	_, decisions, _ := rec.Drain()
 	if len(decisions) != 1 || decisions[0] != (plan.Decision{Layer: "graph.evalpairs", Choice: "forward", N: 1}) {
 		t.Fatalf("64 sources, one destination: decisions = %+v, want one forward pass", decisions)
 	}
-	got := make([]bool, len(pairs))
-	g.EvalPairsStream(q, pairs, &rec, func(v PairVerdict) bool {
-		got[v.Index] = v.Selected
-		return true
-	})
+	got := g.EvalPairsMany([]PathQuery{q}, pairs, &rec)[0]
 	_, decisions, _ = rec.Drain()
 	if len(decisions) != 1 || decisions[0] != (plan.Decision{Layer: "graph.evalpairs", Choice: "backward", N: 1}) {
 		t.Fatalf("100 sources, one destination: decisions = %+v, want one backward pass", decisions)
@@ -179,31 +172,10 @@ func TestHubPoolRunsOneBackwardPass(t *testing.T) {
 	}
 }
 
-// A false sink return stops the stream: nothing is emitted after it, on the
-// inline path and across workers.
-func TestEvalPairsStreamStops(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	g := GenerateGeo(3, 400)
-	q := MustParsePathQuery("highway*.road")
-	for _, nPairs := range []int{40, 400} { // one pass, then several
-		var pairs []Pair
-		for i := 0; i < nPairs; i++ {
-			pairs = append(pairs, Pair{Src: i, Dst: (i * 7) % 400})
-		}
-		emitted := 0
-		g.EvalPairsStream(q, pairs, nil, func(PairVerdict) bool {
-			emitted++
-			return emitted < 5
-		})
-		if emitted != 5 {
-			t.Fatalf("%d pairs: %d verdicts emitted after the sink stopped at 5", nPairs, emitted)
-		}
-	}
-}
-
-// EvalPairs from several goroutines on one graph, each call fanning its
-// passes out over more workers' worth of passes than GOMAXPROCS, must match
-// a sequential run (run under -race -count=10).
+// EvalPairsMany and EvalPairs from several goroutines on one graph, each
+// call fanning its passes out over more workers' worth of passes than
+// GOMAXPROCS and the shared calls branching their tries, must match a
+// sequential run (run under -race -count=10).
 func TestEvalPairsConcurrentCalls(t *testing.T) {
 	g := GenerateGeo(21, 600)
 	rng := rand.New(rand.NewSource(8))
@@ -211,9 +183,12 @@ func TestEvalPairsConcurrentCalls(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pairs = append(pairs, Pair{Src: rng.Intn(600), Dst: rng.Intn(600)})
 	}
-	queries := []PathQuery{
-		MustParsePathQuery("highway*.road"), MustParsePathQuery("road*"),
-		MustParsePathQuery("highway.road*.ferry*"), MustParsePathQuery("train*.highway*"),
+	var queries []PathQuery
+	for _, qs := range []string{
+		"highway*.road", "road*", "highway.road*.ferry*", "train*.highway*",
+		"highway*.road*", "highway*.ferry", "highway.road*", "road*.highway",
+	} {
+		queries = append(queries, MustParsePathQuery(qs))
 	}
 	prev := runtime.GOMAXPROCS(1)
 	want := make([][]bool, len(queries))
@@ -232,11 +207,19 @@ func TestEvalPairsConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Even workers make one shared call, odd ones a call per query.
+			var got [][]bool
+			if w%2 == 0 {
+				got = g.EvalPairsMany(queries, pairs, nil)
+			} else {
+				for _, q := range queries {
+					got = append(got, g.EvalPairs(q, pairs))
+				}
+			}
 			for i, q := range queries {
-				got := g.EvalPairs(q, pairs)
-				for j := range got {
-					if got[j] != want[i][j] {
-						t.Errorf("q=%v pair %v: concurrent %v, sequential %v", q, pairs[j], got[j], want[i][j])
+				for j := range got[i] {
+					if got[i][j] != want[i][j] {
+						t.Errorf("worker %d q=%v pair %v: concurrent %v, sequential %v", w, q, pairs[j], got[i][j], want[i][j])
 						return
 					}
 				}
@@ -244,4 +227,85 @@ func TestEvalPairsConcurrentCalls(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// A shared call must give every query the verdicts the naive oracle gives
+// it alone, whatever the query set makes of the trie: shared prefixes and
+// shared suffixes (prefixes of the backward sequences), a query that is a
+// prefix of another, duplicates, the empty query, and absent plain and
+// starred labels with siblings after them. The lanes are forced onto each
+// side across pass boundaries (63/64/65/129 lane-side nodes), and the call
+// also runs with its own choice of side.
+func TestDifferentialEvalPairsManyVsNaive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 300
+	rng := rand.New(rand.NewSource(25))
+	g := laneGraph(rng, n)
+
+	type querySet struct {
+		name    string
+		queries []string
+	}
+	sets := []querySet{
+		{"shared-prefixes", []string{"a.b", "a.b*", "a.c", "a*.b", "a*.b.c", "a", "a.b.a*"}},
+		{"shared-suffixes", []string{"b.a", "b*.a", "c.b.a", "a*.b.a", "c.a", "a*.b*.a", "a"}},
+		{"prefix-chain", []string{"a.b.c.a*", "a", "a.b.c", "a.b", "b*.c", "b*"}},
+		{"duplicates", []string{"a.b*", "b", "a.b*", "b", "c*.a", "c*.a"}},
+		{"empty", []string{"", "a", "a*", "", "a*.b*"}},
+		{"absent-mid", []string{"a.z.b", "a.z*.b", "a.z*", "a.z", "a.b", "z*.a", "z.a", "a.z*.b*.c"}},
+		// The candidates of a seed word a.b.b: a run choice per label.
+		{"seed-product", []string{
+			"a.b.b", "a.b*", "a.b.b*", "a.b.b.b*", "a*.b.b", "a*.b*", "a*.b.b*", "a*.b.b.b*",
+			"a.a*.b.b", "a.a*.b*", "a.a*.b.b*", "a.a*.b.b.b*",
+		}},
+	}
+	var random []string
+	for i := 0; i < 10; i++ {
+		random = append(random, randomQuery(rng, []string{"a", "b", "c"}).String())
+	}
+	sets = append(sets, querySet{"random", random})
+
+	type pool struct {
+		name  string
+		pairs []Pair
+	}
+	var pools []pool
+	for _, count := range []int{63, 64, 65, 129} {
+		pools = append(pools,
+			pool{fmt.Sprintf("%d-sources", count), sidePool(rng, n, count, false)},
+			pool{fmt.Sprintf("%d-destinations", count), sidePool(rng, n, count, true)})
+	}
+	for _, set := range sets {
+		qs := make([]PathQuery, len(set.queries))
+		for i, s := range set.queries {
+			qs[i] = MustParsePathQuery(s)
+		}
+		for _, p := range pools {
+			runs := []struct {
+				name string
+				got  [][]bool
+			}{
+				{"forward", evalPairsDir(g, qs, p.pairs, false)},
+				{"backward", evalPairsDir(g, qs, p.pairs, true)},
+				{"chosen", g.EvalPairsMany(qs, p.pairs, nil)},
+			}
+			for i, q := range qs {
+				naive := g.EvalPairsNaive(q, p.pairs)
+				for _, run := range runs {
+					for j, pr := range p.pairs {
+						if run.got[i][j] != naive[j] {
+							t.Fatalf("%s/%s %s: query %d (%q) pair %v: %v, naive %v",
+								set.name, p.name, run.name, i, set.queries[i], pr, run.got[i][j], naive[j])
+						}
+					}
+				}
+			}
+		}
+	}
+	if out := g.EvalPairsMany(nil, pools[0].pairs, nil); len(out) != 0 {
+		t.Fatalf("no queries: %v", out)
+	}
+	if out := g.EvalPairsMany([]PathQuery{{}, {}}, nil, nil); len(out) != 2 || len(out[0]) != 0 || len(out[1]) != 0 {
+		t.Fatalf("no pairs: %v", out)
+	}
 }

@@ -1,7 +1,7 @@
 // Greedily-planned, streaming evaluation: the forward/backward direction of
 // single-pair probes (Selects, SelectsManyStream) from frontier-size
 // estimates, and streaming Sink-based verdict delivery with early
-// termination. EvalPairsStream's lane side is chosen in lanes.go by counting
+// termination. EvalPairsMany's lane side is chosen in lanes.go by counting
 // passes.
 //
 // The estimates are the cheapest numbers already on hand — CSR row lengths

@@ -7,13 +7,13 @@ import (
 	"querylearn/internal/graph"
 )
 
-var benchVerdicts []bool
+var benchVerdicts [][]bool
 
-// BenchmarkEvalPairsGeo isolates graph.EvalPairs as a path session build
-// runs it: the 12 candidates of a highway.road.road seed, each over the
+// BenchmarkEvalPairsGeo isolates the membership evaluation of a path
+// session build: the 12 candidates of a highway.road.road seed over the
 // default 2000-pair pool (shortest paths up to 5 hops, the session default)
 // of a GenerateGeo graph of one of path-geo's sizes. One op is the build's
-// whole membership evaluation, 12 EvalPairs calls.
+// one shared graph.EvalPairsMany call.
 func BenchmarkEvalPairsGeo(b *testing.B) {
 	cands := CandidatesFromWord([]string{"highway", "road", "road"})
 	if len(cands) != 12 {
@@ -25,9 +25,7 @@ func BenchmarkEvalPairsGeo(b *testing.B) {
 			pool := DefaultPool(g, 5, 2000)
 			b.ReportAllocs()
 			for b.Loop() {
-				for _, q := range cands {
-					benchVerdicts = g.EvalPairs(q, pool)
-				}
+				benchVerdicts = g.EvalPairsMany(cands, pool, nil)
 			}
 		})
 	}

@@ -14,10 +14,10 @@ func sessionState(s *Session) (cands []string, informative []graph.Pair, result 
 	return cands, s.InformativePairs(), s.Result().String()
 }
 
-// The fused constructor must be state-identical to NewSessionProbes followed
-// by Record of each example, across goal-labeled example sets that do and do
-// not eliminate candidates: its pre-pool pass changes evaluation cost, never
-// state.
+// The fused constructor must be state-identical to a session over the same
+// universe (the examples interned as probes) followed by Record of each
+// example, across goal-labeled example sets that do and do not eliminate
+// candidates: its pre-pool pass changes evaluation cost, never state.
 func TestNewSessionExamplesEquivalentToReplay(t *testing.T) {
 	for seed := int64(1); seed < 15; seed++ {
 		g := graph.GenerateGeo(seed, 25+int(seed)%11)
@@ -44,7 +44,7 @@ func TestNewSessionExamplesEquivalentToReplay(t *testing.T) {
 		}
 
 		replay := func() (*Session, error) {
-			s, err := NewSessionProbes(g, seedPair, pool, probes)
+			s, err := newSession(g, seedPair, pool, probes, nil, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -60,27 +60,6 @@ func runsToQuery(rs []run) graph.PathQuery {
 	return q
 }
 
-func queryToRuns(q graph.PathQuery) []run {
-	var out []run
-	for _, a := range q.Atoms {
-		n := len(out)
-		if n > 0 && out[n-1].label == a.Label && !out[n-1].star {
-			if a.Star {
-				out[n-1].star = true
-			} else {
-				out[n-1].count++
-			}
-			continue
-		}
-		if a.Star {
-			out = append(out, run{label: a.Label, count: 0, star: true})
-		} else {
-			out = append(out, run{label: a.Label, count: 1})
-		}
-	}
-	return out
-}
-
 // generalizeRuns aligns two run sequences and returns the most specific run
 // sequence whose language includes both inputs' languages: matched runs
 // keep the minimum fixed count (starred when counts differ or either input

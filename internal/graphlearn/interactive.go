@@ -37,11 +37,12 @@ func (o GoalOracle) LabelPair(src, dst int) bool { return o.G.Selects(o.Goal, sr
 // pool-projected and sparse: only the pairs that can ever be probed — the
 // candidate pool, the seed, and any pair an answer later names — are
 // interned into a compact pair-index universe, and each candidate's
-// membership is a |universe|-bit set filled by the pool-restricted
-// graph.EvalPairs. Session memory is therefore O(candidates · |pool|) bits
-// and creation runs one bit-parallel pass per 64 distinct pool sources (or
-// destinations), independent of the n² pair space that capped earlier
-// versions at a few thousand nodes.
+// membership is a |universe|-bit set filled by one pool-restricted
+// graph.EvalPairsMany call over all the candidates. Session memory is
+// therefore O(candidates · |pool|) bits and creation runs one bit-parallel
+// pass per 64 distinct pool sources (or destinations) for the candidates
+// together, independent of the n² pair space that capped earlier versions
+// at a few thousand nodes.
 type Session struct {
 	G          *graph.Graph
 	Candidates []graph.PathQuery
@@ -67,28 +68,17 @@ type Session struct {
 // can drain per-request planning time and decisions into its trace.
 func (s *Session) PlanRecorder() *plan.Recorder { return s.rec }
 
-// membershipFunc computes, for one candidate, which of the pairs it selects.
-// The production implementation is the pool-restricted graph.EvalPairs; the
-// differential tests substitute a dense all-pairs oracle.
-type membershipFunc func(g *graph.Graph, q graph.PathQuery, pairs []graph.Pair) []bool
-
-func sparseMembership(g *graph.Graph, q graph.PathQuery, pairs []graph.Pair) []bool {
-	return g.EvalPairs(q, pairs)
-}
+// membershipFunc computes, for each query of a set, which of the pairs it
+// selects. The production implementation is the shared-schedule
+// graph.EvalPairsMany; the differential tests substitute a dense all-pairs
+// oracle.
+type membershipFunc func(g *graph.Graph, qs []graph.PathQuery, pairs []graph.Pair) [][]bool
 
 // NewSession builds a session from a positive seed pair and a candidate
 // pool of pairs the user may be asked about. The seed itself is treated as
 // answered positively.
 func NewSession(g *graph.Graph, seed graph.Pair, pool []graph.Pair) (*Session, error) {
 	return newSession(g, seed, pool, nil, nil, nil)
-}
-
-// NewSessionProbes is NewSession with further known probe-able pairs — a
-// task's replayed examples — interned into the universe up front, so their
-// candidate membership rides the same batched pool-restricted evaluation
-// instead of the per-pair fallback of a post-construction Record.
-func NewSessionProbes(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair) (*Session, error) {
-	return newSession(g, seed, pool, probes, nil, nil)
 }
 
 // LabeledPair is a probe-able pair together with its known label — a task
@@ -98,13 +88,15 @@ type LabeledPair struct {
 	Positive bool
 }
 
-// NewSessionExamples is NewSessionProbes fused with the example replay: the
-// example labels are applied to the candidate space before the pool-wide
-// membership evaluation, so a candidate a replayed answer eliminates never
-// pays a pool-sized evaluation — the collapsed version space stops evaluation
-// mid-flight. The final session state is identical to NewSessionProbes
-// followed by Record of each example (per-pair verdicts are independent of
-// the batch they are computed in).
+// NewSessionExamples is NewSession with the example replay fused into the
+// build: the example pairs are interned into the universe, and one shared
+// evaluation of every candidate on the labeled pairs alone — the seed and
+// the examples — drops the candidates an example eliminates before the
+// survivors' one shared evaluation over the whole universe, so an
+// eliminated candidate never pays a pool-sized evaluation. The final
+// session state is identical to a session over the same universe followed
+// by Record of each example (per-pair verdicts are independent of the batch
+// they are computed in).
 func NewSessionExamples(g *graph.Graph, seed graph.Pair, pool []graph.Pair, examples []LabeledPair) (*Session, error) {
 	return newSession(g, seed, pool, nil, examples, nil)
 }
@@ -118,15 +110,10 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 	cands := CandidatesFromWord(word)
 	s := &Session{G: g, Pool: pool, slots: make(map[graph.Pair]int, len(pool)+1), rec: new(plan.Recorder)}
 	if membership == nil {
-		// Default sparse membership, with the session's recorder threaded
-		// into the graph planner for request-trace attribution.
-		membership = func(g *graph.Graph, q graph.PathQuery, pairs []graph.Pair) []bool {
-			out := make([]bool, len(pairs))
-			g.EvalPairsStream(q, pairs, s.rec, func(v graph.PairVerdict) bool {
-				out[v.Index] = v.Selected
-				return true
-			})
-			return out
+		// The session's recorder is threaded into the graph planner for
+		// request-trace attribution.
+		membership = func(g *graph.Graph, qs []graph.PathQuery, pairs []graph.Pair) [][]bool {
+			return g.EvalPairsMany(qs, pairs, s.rec)
 		}
 	}
 	intern := func(p graph.Pair) {
@@ -148,10 +135,10 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 	s.labeled = bitset.New(len(s.universe))
 
 	// Planned pre-pass: judge every candidate on the labeled pairs alone —
-	// the seed plus the replayed examples — and drop inconsistent ones
-	// before any of them pays the pool-wide evaluation. The surviving set is
-	// exactly what the record() replays below would keep, so the pre-pass
-	// changes evaluation cost, never state.
+	// the seed plus the replayed examples — in one shared call, and drop
+	// inconsistent ones before any of them pays the pool-wide evaluation.
+	// The surviving set is exactly what the record() replays below would
+	// keep, so the pre-pass changes evaluation cost, never state.
 	survivors := cands
 	if len(examples) > 0 {
 		done := s.rec.StartPlan(layerSession)
@@ -161,8 +148,7 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 		}
 		labeledPairs = append(labeledPairs, seed)
 		survivors = survivors[:0:0]
-		for _, q := range cands {
-			verdicts := membership(g, q, labeledPairs)
+		for c, verdicts := range membership(g, cands, labeledPairs) {
 			ok := verdicts[len(examples)] // every candidate must select the seed
 			for i := range examples {
 				if !ok {
@@ -173,7 +159,7 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 				}
 			}
 			if ok {
-				survivors = append(survivors, q)
+				survivors = append(survivors, cands[c])
 			}
 		}
 		done()
@@ -182,17 +168,17 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 			return nil, fmt.Errorf("graphlearn: answers eliminated every candidate (goal outside the class)")
 		}
 	}
-	for _, q := range survivors {
+	for c, verdicts := range membership(g, survivors, s.universe) {
 		sel := bitset.New(len(s.universe))
 		count := 0
-		for id, in := range membership(g, q, s.universe) {
+		for id, in := range verdicts {
 			if in {
 				sel.Add(id)
 				count++
 			}
 		}
 		// Every candidate accepts the seed word, hence selects seed.
-		s.Candidates = append(s.Candidates, q)
+		s.Candidates = append(s.Candidates, survivors[c])
 		s.selects = append(s.selects, sel)
 		s.selCount = append(s.selCount, count)
 	}

@@ -9,17 +9,20 @@ import (
 )
 
 // denseMembership is the all-pairs differential oracle for the sparse
-// engine: candidate membership computed by the full Eval and projected onto
-// the interned universe. Sessions built with it and with the production
-// sparseMembership must be indistinguishable.
-func denseMembership(g *graph.Graph, q graph.PathQuery, pairs []graph.Pair) []bool {
-	sel := map[graph.Pair]bool{}
-	for _, p := range g.Eval(q) {
-		sel[p] = true
-	}
-	out := make([]bool, len(pairs))
-	for i, p := range pairs {
-		out[i] = sel[p]
+// engine: each candidate's membership computed by the full Eval and
+// projected onto the interned universe. Sessions built with it and with
+// newSession's default shared EvalPairsMany call must be indistinguishable.
+func denseMembership(g *graph.Graph, qs []graph.PathQuery, pairs []graph.Pair) [][]bool {
+	out := make([][]bool, len(qs))
+	for i, q := range qs {
+		sel := map[graph.Pair]bool{}
+		for _, p := range g.Eval(q) {
+			sel[p] = true
+		}
+		out[i] = make([]bool, len(pairs))
+		for j, p := range pairs {
+			out[i][j] = sel[p]
+		}
 	}
 	return out
 }
@@ -74,7 +77,7 @@ func TestDifferentialSparseVsDenseSession(t *testing.T) {
 			if !found {
 				continue
 			}
-			sparse, err := newSession(g, seedPair, pool, nil, nil, sparseMembership)
+			sparse, err := newSession(g, seedPair, pool, nil, nil, nil)
 			if err != nil {
 				continue // seed's word may put the goal outside the class
 			}
@@ -120,7 +123,7 @@ func TestSparseSessionUniverseGrowth(t *testing.T) {
 	}
 	// A deliberately tiny pool so most of the graph is outside the universe.
 	pool := DefaultPool(g, 2, 10)
-	sparse, err := newSession(g, seedPair, pool, nil, nil, sparseMembership)
+	sparse, err := newSession(g, seedPair, pool, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ func TestBucketIndex(t *testing.T) {
 	}{
 		{0, 0},
 		{1, 0},
-		{1000, 0},        // exactly 1µs
-		{1001, 1},        // just over
-		{2000, 1},        // 2µs
+		{1000, 0}, // exactly 1µs
+		{1001, 1}, // just over
+		{2000, 1}, // 2µs
 		{2001, 2},
-		{1_000_000, 10},  // 1ms: 1000<<10 = 1.024ms ≥ 1ms, 1000<<9 = 512µs < 1ms
+		{1_000_000, 10},     // 1ms: 1000<<10 = 1.024ms ≥ 1ms, 1000<<9 = 512µs < 1ms
 		{1_000_000_000, 20}, // 1s: 1000<<20 ≈ 1.049s
 		{int64(1000) << 26, 26},
 		{int64(1000)<<26 + 1, histBuckets}, // overflow
@@ -230,10 +230,10 @@ func TestPrometheusExpositionLint(t *testing.T) {
 
 func TestParseExpositionRejectsGarbage(t *testing.T) {
 	bad := []string{
-		"querylearn_x 1\n",                                   // sample before TYPE
-		"# TYPE a counter\na 1\na 2\n",                       // duplicate series
-		"# TYPE a counter\na{l=\"v\"} notafloat\n",           // bad value
-		"# TYPE 9bad counter\n",                              // bad name
+		"querylearn_x 1\n",                         // sample before TYPE
+		"# TYPE a counter\na 1\na 2\n",             // duplicate series
+		"# TYPE a counter\na{l=\"v\"} notafloat\n", // bad value
+		"# TYPE 9bad counter\n",                    // bad name
 		"# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n", // decreasing
 	}
 	for _, in := range bad {

@@ -13,8 +13,9 @@ import (
 // FuzzPlanEquivalence drives randomized instances through the planned
 // evaluation paths and their naive oracles and requires identical observable
 // results: the planner may reorder work, never change answers. The graph arm
-// compares EvalPairs verdicts (lanes on the side with fewer passes) with the
-// PR 1 naive oracle; the semijoin arm compares the consistency decision
+// compares EvalPairs verdicts (lanes on the side with fewer passes), and the
+// verdicts of one shared EvalPairsMany call over a random query set that
+// shares prefixes, with the naive oracle; the semijoin arm compares the consistency decision
 // planned vs naive and property-checks any returned predicate against the
 // examples (the planned search may return a different — but equally
 // consistent — witness predicate).
@@ -72,6 +73,33 @@ func fuzzGraphArm(t *testing.T, seed int64, n, qs uint8, pairSeed int64) {
 		if planned[i] != naive[i] {
 			t.Fatalf("verdict %d (%v, query %s): planned=%v naive=%v",
 				i, pairs[i], q, planned[i], naive[i])
+		}
+	}
+
+	// A query set for one shared call: q, then queries that each extend a
+	// random prefix of an earlier one by up to two random atoms (an absent
+	// label among them), so the set shares prefixes and suffixes, holds
+	// prefixes of its own queries and may repeat one.
+	set := []graph.PathQuery{q}
+	for k := next(6); k > 0; k-- {
+		base := set[next(len(set))].Atoms
+		nq := graph.PathQuery{Atoms: append([]graph.Atom(nil), base[:next(len(base)+1)]...)}
+		for j := next(3); j > 0; j-- {
+			l := "absent"
+			if next(8) > 0 {
+				l = labels[next(len(labels))]
+			}
+			nq.Atoms = append(nq.Atoms, graph.Atom{Label: l, Star: next(2) == 0})
+		}
+		set = append(set, nq)
+	}
+	for qi, verdicts := range g.EvalPairsMany(set, pairs, nil) {
+		naive := g.EvalPairsNaive(set[qi], pairs)
+		for i := range pairs {
+			if verdicts[i] != naive[i] {
+				t.Fatalf("shared call, query %d (%s) of %d, verdict %d (%v): planned=%v naive=%v",
+					qi, set[qi], len(set), i, pairs[i], verdicts[i], naive[i])
+			}
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -750,21 +752,28 @@ func (m *Manager) Compact() (int, error) {
 	}
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()
-	var snaps []Snapshot
+	live := make([]*Session, 0, m.live.Load())
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for _, s := range sh.m {
-			snaps = append(snaps, s.Snapshot())
+			live = append(live, s)
 		}
 		sh.mu.Unlock()
 	}
-	// Deterministic journal order: oldest session first.
-	sort.Slice(snaps, func(i, j int) bool {
-		if !snaps[i].CreatedAt.Equal(snaps[j].CreatedAt) {
-			return snaps[i].CreatedAt.Before(snaps[j].CreatedAt)
+	// Deterministic journal order: oldest session first. Sort the sessions,
+	// so a swap moves a pointer, not a Snapshot, then snapshot each once;
+	// compactMu held for write stops every mutation, so no session changes
+	// or leaves in between.
+	slices.SortFunc(live, func(a, b *Session) int {
+		if c := a.createdAt.Compare(b.createdAt); c != 0 {
+			return c
 		}
-		return snaps[i].ID < snaps[j].ID
+		return strings.Compare(a.id, b.id)
 	})
+	snaps := make([]Snapshot, len(live))
+	for i, s := range live {
+		snaps[i] = s.Snapshot()
+	}
 	return len(snaps), comp.Compact(snaps)
 }
 

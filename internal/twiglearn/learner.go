@@ -239,7 +239,6 @@ func appendFilterKey(b []byte, f *twig.Node) []byte {
 	return b
 }
 
-
 // branchMatchesAt reports whether the filter branch is satisfied at the
 // document node d (branch axis relative to d).
 func branchMatchesAt(f *twig.Node, d *xmltree.Node) bool {
