@@ -112,8 +112,9 @@ cluster-smoke:
 	$(GO) build -o bin/querylearnd ./cmd/querylearnd
 	$(GO) run ./cmd/clustersmoke -bin bin/querylearnd
 
-# Compile-and-run every example as a smoke test; they have no test files,
-# so this is the only thing keeping them honest.
+# Compile-and-run every example; they have no test files, so this is the
+# only thing keeping them honest. crowdjoin and geopaths exit non-zero when a
+# noise-free dialogue does not learn its goal, so this checks results too.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/crowdjoin

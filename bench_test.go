@@ -9,12 +9,12 @@ package querylearn_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"querylearn/internal/crowd"
+	"querylearn/internal/core"
 	"querylearn/internal/experiments"
 	"querylearn/internal/graph"
-	"querylearn/internal/graphlearn"
 	"querylearn/internal/relational"
 	"querylearn/internal/rellearn"
 	"querylearn/internal/schema"
@@ -23,6 +23,7 @@ import (
 	"querylearn/internal/twiglearn"
 	"querylearn/internal/xmark"
 	"querylearn/internal/xmltree"
+	"querylearn/pkg/api"
 )
 
 // --- T1: twig learning from examples ---
@@ -223,11 +224,15 @@ func BenchmarkT7Interactions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracle := rellearn.GoalOracle{U: u, Goal: goal}
-	for _, strat := range []rellearn.Strategy{rellearn.MaxAgreeStrategy{}, rellearn.HalfSplitStrategy{}} {
-		b.Run(strat.Name(), func(b *testing.B) {
+	task := experiments.JoinTask(l, r)
+	for _, order := range []struct {
+		name   string
+		picker func(*rellearn.Universe) experiments.Picker
+	}{{"max-agree", experiments.MaxAgreePicker}, {"half-split", experiments.HalfSplitPicker}} {
+		b.Run(order.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rellearn.Run(u, oracle, strat); err != nil {
+				d := experiments.Dialogue{Model: "join", Task: task, Pick: order.picker(u), Vote: experiments.JoinOracle(u, goal)}
+				if _, err := d.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,7 +243,15 @@ func BenchmarkT7Interactions(b *testing.B) {
 // --- T8: interactive path learning ---
 
 func BenchmarkT8GraphInteractions(b *testing.B) {
-	g := graph.GenerateGeo(11, 60)
+	var edges strings.Builder
+	for _, e := range graph.GenerateGeo(11, 60).Triples() {
+		fmt.Fprintf(&edges, "edge %s %s %s\n", e.From, e.Label, e.To)
+	}
+	parsed, err := core.ParsePathTask(edges.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := parsed.Graph
 	goal := graph.MustParsePathQuery("highway.road*")
 	var seed graph.Pair
 	found := false
@@ -261,11 +274,13 @@ func BenchmarkT8GraphInteractions(b *testing.B) {
 	if !found {
 		b.Skip("no suitable seed")
 	}
-	pool := graphlearn.DefaultPool(g, 4, 500)
-	oracle := graphlearn.GoalOracle{G: g, Goal: goal}
+	d := experiments.Dialogue{
+		Model: "path", Task: edges.String() + fmt.Sprintf("pos %s %s\n", g.Node(seed.Src), g.Node(seed.Dst)),
+		Limits: &api.PathLimits{PoolLimit: 500, PoolMaxLen: 4}, Vote: experiments.PathOracle(g, goal),
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := graphlearn.Run(g, seed, pool, oracle, graphlearn.SplitStrategy{}); err != nil {
+		if _, err := d.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,10 +295,15 @@ func BenchmarkT9CrowdCost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := crowd.Config{CostPerHIT: 0.05, WorkerErrorRate: 0.1, VotesPerQuestion: 5}
+	task := experiments.JoinTask(l, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := crowd.RunJoin(u, goal, rellearn.MaxAgreeStrategy{}, cfg, rand.New(rand.NewSource(int64(i)))); err != nil {
+		d := experiments.Dialogue{
+			Model: "join", Task: task, Pick: experiments.MaxAgreePicker(u),
+			Vote:  experiments.NoisyOracle(experiments.JoinOracle(u, goal), 0.1, rand.New(rand.NewSource(int64(i)))),
+			Votes: 5, CostPerHIT: 0.05,
+		}
+		if _, err := d.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,8 +409,8 @@ func BenchmarkAblationTwigMinimize(b *testing.B) {
 }
 
 // Interactive join learning: uninformative-tuple pruning is what separates
-// the question count from the full pair count; compare a strategy-driven
-// run against exhaustively labeling every pair.
+// the question count from the full pair count; compare a max-agree dialogue
+// against exhaustively labeling every pair.
 func BenchmarkAblationPruningVsExhaustive(b *testing.B) {
 	l, r := experiments.RandomJoinInstance(42, 3, 15, 3)
 	u := rellearn.NewUniverse(l, r)
@@ -398,10 +418,11 @@ func BenchmarkAblationPruningVsExhaustive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracle := rellearn.GoalOracle{U: u, Goal: goal}
+	task := experiments.JoinTask(l, r)
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rellearn.Run(u, oracle, rellearn.MaxAgreeStrategy{}); err != nil {
+			d := experiments.Dialogue{Model: "join", Task: task, Pick: experiments.MaxAgreePicker(u), Vote: experiments.JoinOracle(u, goal)}
+			if _, err := d.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -413,7 +434,7 @@ func BenchmarkAblationPruningVsExhaustive(b *testing.B) {
 			for li := 0; li < l.Len(); li++ {
 				for ri := 0; ri < r.Len(); ri++ {
 					exs = append(exs, rellearn.JoinExample{
-						Left: li, Right: ri, Positive: oracle.LabelPair(li, ri)})
+						Left: li, Right: ri, Positive: goal.SubsetOf(u.Agree(li, ri))})
 				}
 			}
 			if _, ok := rellearn.JoinConsistent(u, exs); !ok {

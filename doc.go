@@ -9,9 +9,11 @@
 // The public surface lives in internal/core (facade), with the
 // model-specific engines in internal/twig, internal/twiglearn,
 // internal/schema, internal/schemalearn, internal/relational,
-// internal/rellearn, internal/graph, internal/graphlearn,
-// internal/interact, internal/crowd, internal/exchange, and the benchmark
-// substrate in internal/xmark and internal/experiments. See README.md for a
+// internal/rellearn, internal/graph, internal/graphlearn, internal/exchange,
+// and the benchmark substrate in internal/xmark and internal/experiments.
+// The interactive loop and its crowd cost model have one implementation,
+// internal/session's Manager: the daemon serves it, and the interactive
+// experiments (T7–T9) and examples drive it in process. See README.md for a
 // tour; the experiment tables (cmd/benchrunner, indexed in
 // internal/experiments/tables.go) and their recorded runs (BENCH_PR*.json)
 // are the claim-by-claim reproduction record.

@@ -1,7 +1,10 @@
 // crowdjoin prices interactive join learning under the crowdsourcing model
 // of §3 (after Marcus et al.): every question is a paid Human Intelligence
 // Task, workers err, and majority voting buys reliability with money. The
-// smart question-selection strategy translates directly into dollars saved.
+// dialogues run in process on the session manager the daemon serves, which
+// charges one HIT per submitted label; the question order translates
+// directly into dollars. It exits non-zero when a noise-free dialogue does
+// not learn the goal.
 //
 //	go run ./examples/crowdjoin
 package main
@@ -11,7 +14,7 @@ import (
 	"log"
 	"math/rand"
 
-	"querylearn/internal/crowd"
+	"querylearn/internal/experiments"
 	"querylearn/internal/relational"
 	"querylearn/internal/rellearn"
 )
@@ -46,29 +49,41 @@ func main() {
 		"strategy", "votes", "error", "questions", "cost $", "exact?")
 
 	configs := []struct {
-		strat rellearn.Strategy
+		name  string
+		pick  experiments.Picker
 		votes int
 		errR  float64
 	}{
-		{rellearn.RandomStrategy{Rng: rand.New(rand.NewSource(1))}, 1, 0},
-		{rellearn.MaxAgreeStrategy{}, 1, 0},
-		{rellearn.MaxAgreeStrategy{}, 1, 0.2},
-		{rellearn.MaxAgreeStrategy{}, 5, 0.2},
+		{"first", nil, 1, 0},
+		{"random", experiments.RandomPicker(rand.New(rand.NewSource(1))), 1, 0},
+		{"max-agree", experiments.MaxAgreePicker(u), 1, 0},
+		{"max-agree", experiments.MaxAgreePicker(u), 1, 0.2},
+		{"max-agree", experiments.MaxAgreePicker(u), 5, 0.2},
 	}
 	for _, c := range configs {
-		cfg := crowd.Config{CostPerHIT: 0.05, WorkerErrorRate: c.errR, VotesPerQuestion: c.votes}
-		rep, err := crowd.RunJoin(u, goal, c.strat, cfg, rand.New(rand.NewSource(9)))
+		res, err := experiments.Dialogue{
+			Model: "join", Task: experiments.JoinTask(left, right), Pick: c.pick,
+			Vote:  experiments.NoisyOracle(experiments.JoinOracle(u, goal), c.errR, rand.New(rand.NewSource(9))),
+			Votes: c.votes, CostPerHIT: 0.05,
+		}.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		acc, err := experiments.JoinAccuracy(u, goal, res.Hypothesis)
 		if err != nil {
 			log.Fatal(err)
 		}
 		exact := "yes"
-		if rep.Failed {
+		if res.Failed {
 			exact = "failed"
-		} else if rep.Accuracy < 1 {
-			exact = fmt.Sprintf("%.0f%%", 100*rep.Accuracy)
+		} else if acc < 1 {
+			exact = fmt.Sprintf("%.0f%%", 100*acc)
 		}
 		fmt.Printf("%-10s %-6d %-6.0f %-10d %-8.2f %-8s\n",
-			rep.Strategy, c.votes, 100*c.errR, rep.Questions, rep.Cost, exact)
+			c.name, c.votes, 100*c.errR, res.Questions, res.Cost, exact)
+		if c.errR == 0 && exact != "yes" {
+			log.Fatalf("%s: a noise-free dialogue learned %q, not the goal", c.name, res.Hypothesis.Query)
+		}
 	}
 	fmt.Println("\nmajority voting multiplies HITs per question; the smart strategy")
 	fmt.Println("keeps the question count (and thus the bill) low either way.")

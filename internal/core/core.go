@@ -2,8 +2,8 @@
 // learning function per data model (the thesis's three targets —
 // semi-structured, relational, graph — plus schema inference), each
 // wrapping the model-specific machinery with a uniform error and options
-// surface. The cmd/querylearn CLI and the examples build exclusively on
-// this package.
+// surface. The cmd/querylearn CLI and the batch-learning examples build on
+// this package; interactive dialogues run on internal/session.
 package core
 
 import (
@@ -71,23 +71,10 @@ func LearnSemijoinQuery(left, right *relational.Relation, examples []rellearn.Se
 	return u.Decode(p), nil
 }
 
-// LearnJoinInteractive runs the interactive join-learning loop against an
-// oracle, returning the learned predicate and interaction statistics.
-func LearnJoinInteractive(left, right *relational.Relation, oracle rellearn.Oracle, strategy rellearn.Strategy) (rellearn.RunStats, error) {
-	u := rellearn.NewUniverse(left, right)
-	return rellearn.Run(u, oracle, strategy)
-}
-
 // LearnPathQuery learns a path query on an edge-labeled graph from labeled
 // node pairs.
 func LearnPathQuery(g *graph.Graph, examples []graphlearn.Example) (graph.PathQuery, error) {
 	return graphlearn.Learn(g, examples)
-}
-
-// LearnPathInteractive runs the interactive path-query loop from a seed
-// pair over a candidate pool.
-func LearnPathInteractive(g *graph.Graph, seed graph.Pair, pool []graph.Pair, oracle graphlearn.Oracle, strategy graphlearn.Strategy) (graphlearn.RunStats, error) {
-	return graphlearn.Run(g, seed, pool, oracle, strategy)
 }
 
 // LearnSchema infers a disjunctive multiplicity schema from positive

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -77,20 +76,6 @@ func TestLearnSemijoinQueryFacade(t *testing.T) {
 	}
 }
 
-func TestLearnJoinInteractiveFacade(t *testing.T) {
-	l, _ := relational.FromRows("L", []string{"id", "x"}, [][]string{{"1", "a"}, {"2", "b"}})
-	r, _ := relational.FromRows("R", []string{"fk", "y"}, [][]string{{"1", "a"}, {"2", "c"}})
-	u := rellearn.NewUniverse(l, r)
-	goal, _ := u.Encode([]relational.AttrPair{{Left: "id", Right: "fk"}})
-	stats, err := LearnJoinInteractive(l, r, rellearn.GoalOracle{U: u, Goal: goal}, rellearn.MaxAgreeStrategy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Questions == 0 && stats.PrunedCertain != stats.TotalPairs {
-		t.Errorf("stats inconsistent: %+v", stats)
-	}
-}
-
 func TestLearnPathQueryFacade(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("a", "r", "b")
@@ -104,41 +89,6 @@ func TestLearnPathQueryFacade(t *testing.T) {
 	}
 	if q.String() != "r.r" {
 		t.Errorf("learned %s", q)
-	}
-}
-
-func TestLearnPathInteractiveFacade(t *testing.T) {
-	g := graph.GenerateGeo(11, 20)
-	goal := graph.MustParsePathQuery("highway.highway*")
-	var seed graph.Pair
-	found := false
-	for _, p := range g.Eval(goal) {
-		w := g.ShortestWord(p.Src, p.Dst)
-		if len(w) >= 2 && w[0] == "highway" && w[len(w)-1] == "highway" {
-			pure := true
-			for _, l := range w {
-				if l != "highway" {
-					pure = false
-				}
-			}
-			if pure {
-				seed, found = p, true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Skip("no suitable seed on this geo graph")
-	}
-	pool := graphlearn.DefaultPool(g, 3, 200)
-	stats, err := LearnPathInteractive(g, seed, pool,
-		graphlearn.GoalOracle{G: g, Goal: goal},
-		graphlearn.RandomStrategy{Rng: rand.New(rand.NewSource(1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PoolSize != len(pool) {
-		t.Errorf("stats = %+v", stats)
 	}
 }
 

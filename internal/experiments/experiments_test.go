@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,14 +91,37 @@ func TestT7PruningDominates(t *testing.T) {
 	}
 }
 
+// TestT7PinsOfflineOrders pins the orders T7 compares with the daemon's at
+// scale 1: questions at 10/20/40 tuples per side. A change to the served join
+// learner that moves them fails here.
+func TestT7PinsOfflineOrders(t *testing.T) {
+	want := map[string][]string{
+		"random":     {"8", "12", "7"},
+		"max-agree":  {"8", "10", "9"},
+		"half-split": {"9", "8", "6"},
+	}
+	got := map[string][]string{}
+	for _, row := range T7Interactions(1).Rows {
+		got[row[2]] = append(got[row[2]], row[3])
+	}
+	for order, w := range want {
+		if !slices.Equal(got[order], w) {
+			t.Errorf("%s: questions %v, want %v", order, got[order], w)
+		}
+	}
+}
+
 func TestT8VersionSpaceCollapses(t *testing.T) {
 	tab := T8GraphInteractions(1)
-	if len(tab.Rows) == 0 {
-		t.Skip("no usable geo seeds at this scale")
+	if len(tab.Rows) != 6 {
+		t.Fatalf("want a first and a random row at each of 3 sizes, got %v", tab.Rows)
 	}
 	for _, row := range tab.Rows {
 		if row[6] != "1" {
 			t.Errorf("row %v: version space should collapse to one survivor", row)
+		}
+		if row[7] != "highway.road*" {
+			t.Errorf("row %v: learned %s, want the goal highway.road*", row, row[7])
 		}
 	}
 }
@@ -122,6 +146,26 @@ func TestT9MajorityBeatsSingleUnderNoise(t *testing.T) {
 	}
 	if parse(votedNoisy) < parse(singleNoisy) {
 		t.Errorf("majority voting (%s) should not underperform single votes (%s)", votedNoisy, singleNoisy)
+	}
+}
+
+// TestT9PinsRows pins T9's rows other than the daemon's own order.
+func TestT9PinsRows(t *testing.T) {
+	want := [][]string{
+		{"random", "1", "0%", "7.6", "7.6", "0.38", "10/10"},
+		{"max-agree", "1", "0%", "7.0", "7.0", "0.35", "10/10"},
+		{"max-agree", "1", "15%", "7.9", "7.9", "0.40", "4/10"},
+		{"max-agree", "5", "15%", "7.1", "35.5", "1.77", "9/10"},
+		{"max-agree", "9", "25%", "7.1", "63.9", "3.19", "9/10"},
+	}
+	var got [][]string
+	for _, row := range T9CrowdCost(1).Rows {
+		if row[0] != "first" {
+			got = append(got, row)
+		}
+	}
+	if !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+		t.Errorf("rows %v, want %v", got, want)
 	}
 }
 

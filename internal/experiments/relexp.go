@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"querylearn/internal/crowd"
 	"querylearn/internal/relational"
 	"querylearn/internal/rellearn"
 )
@@ -102,8 +101,9 @@ func T6ConsistencyJoinVsSemijoin(scale int) *Table {
 	return t
 }
 
-// T7Interactions measures user interactions by strategy and instance size,
-// with the uninformative-pruning ratio.
+// T7Interactions measures user interactions by question order and instance
+// size, with the uninformative-pruning ratio. Every dialogue runs on the
+// served join learner; first is the order the daemon serves.
 func T7Interactions(scale int) *Table {
 	t := &Table{
 		ID:     "T7",
@@ -124,36 +124,41 @@ func T7Interactions(scale int) *Table {
 		if err != nil {
 			continue
 		}
-		oracle := rellearn.GoalOracle{U: u, Goal: goal}
-		strategies := []rellearn.Strategy{
-			rellearn.RandomStrategy{Rng: rand.New(rand.NewSource(int64(n)))},
-			rellearn.MaxAgreeStrategy{},
-			rellearn.HalfSplitStrategy{},
+		task, pairs := JoinTask(l, r), l.Len()*r.Len()
+		orders := []struct {
+			name string
+			pick Picker
+		}{
+			{"first", nil},
+			{"random", RandomPicker(rand.New(rand.NewSource(int64(n))))},
+			{"max-agree", MaxAgreePicker(u)},
+			{"half-split", HalfSplitPicker(u)},
 		}
-		for _, strat := range strategies {
-			stats, err := rellearn.Run(u, oracle, strat)
-			if err != nil {
+		for _, o := range orders {
+			res, err := Dialogue{Model: "join", Task: task, Pick: o.pick, Vote: JoinOracle(u, goal)}.Run()
+			if err != nil || res.Failed {
 				continue
 			}
+			pruned := pairs - res.Questions
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), fmt.Sprint(stats.TotalPairs), stats.Strategy,
-				fmt.Sprint(stats.Questions), fmt.Sprint(stats.PrunedCertain),
-				fmt.Sprintf("%.1f%%", 100*float64(stats.PrunedCertain)/float64(stats.TotalPairs)),
+				fmt.Sprint(n), fmt.Sprint(pairs), o.name,
+				fmt.Sprint(res.Questions), fmt.Sprint(pruned),
+				fmt.Sprintf("%.1f%%", 100*float64(pruned)/float64(pairs)),
 			})
 		}
 	}
 	return t
 }
 
-// T9CrowdCost prices the interactive runs under the HIT model.
+// T9CrowdCost prices interactive join dialogues under the HIT model: the
+// manager charges one HIT per submitted label.
 func T9CrowdCost(scale int) *Table {
 	t := &Table{
 		ID:     "T9",
 		Title:  "crowdsourced join learning: dollar cost per strategy and vote count",
 		Claim:  "\"minimizing the number of interactions with the user is equivalent to minimizing the financial cost of the process\" (§3, after Marcus et al.)",
-		Header: []string{"strategy", "votes", "error rate", "questions", "HITs", "cost $", "accuracy"},
+		Header: []string{"strategy", "votes", "error rate", "avg questions", "avg HITs", "avg cost $", "success"},
 	}
-	t.Header = []string{"strategy", "votes", "error rate", "avg questions", "avg HITs", "avg cost $", "success"}
 	n := 15 * scale
 	l, r := RandomJoinInstance(99, 4, n, 3)
 	u := rellearn.NewUniverse(l, r)
@@ -161,41 +166,52 @@ func T9CrowdCost(scale int) *Table {
 	if err != nil {
 		return t
 	}
+	// One random picker serves every run of its row, so its draws continue
+	// from run to run; the join pickers track one dialogue each.
+	random := RandomPicker(rand.New(rand.NewSource(1)))
 	cases := []struct {
-		strat rellearn.Strategy
-		votes int
-		errR  float64
+		name   string
+		picker func() Picker
+		votes  int
+		errR   float64
 	}{
-		{rellearn.RandomStrategy{Rng: rand.New(rand.NewSource(1))}, 1, 0},
-		{rellearn.MaxAgreeStrategy{}, 1, 0},
-		{rellearn.MaxAgreeStrategy{}, 1, 0.15},
-		{rellearn.MaxAgreeStrategy{}, 5, 0.15},
-		{rellearn.MaxAgreeStrategy{}, 9, 0.25},
+		{"first", func() Picker { return nil }, 1, 0},
+		{"random", func() Picker { return random }, 1, 0},
+		{"max-agree", func() Picker { return MaxAgreePicker(u) }, 1, 0},
+		{"max-agree", func() Picker { return MaxAgreePicker(u) }, 1, 0.15},
+		{"max-agree", func() Picker { return MaxAgreePicker(u) }, 5, 0.15},
+		{"max-agree", func() Picker { return MaxAgreePicker(u) }, 9, 0.25},
 	}
 	const seeds = 10
+	task := JoinTask(l, r)
 	for _, c := range cases {
 		var qSum, hitSum int
 		var costSum float64
 		success := 0
 		for s := int64(0); s < seeds; s++ {
-			cfg := crowd.Config{CostPerHIT: 0.05, WorkerErrorRate: c.errR, VotesPerQuestion: c.votes}
-			rep, err := crowd.RunJoin(u, goal, c.strat, cfg, rand.New(rand.NewSource(7+s)))
+			res, err := Dialogue{
+				Model: "join", Task: task, Pick: c.picker(),
+				Vote:  NoisyOracle(JoinOracle(u, goal), c.errR, rand.New(rand.NewSource(7+s))),
+				Votes: c.votes, CostPerHIT: 0.05,
+			}.Run()
 			if err != nil {
 				continue
 			}
-			qSum += rep.Questions
-			hitSum += rep.HITs
-			costSum += rep.Cost
-			if !rep.Failed && rep.Accuracy == 1.0 {
+			qSum += res.Questions
+			hitSum += res.HITs
+			costSum += res.Cost
+			if acc, err := JoinAccuracy(u, goal, res.Hypothesis); err == nil && !res.Failed && acc == 1.0 {
 				success++
 			}
 		}
 		t.Rows = append(t.Rows, []string{
-			c.strat.Name(), fmt.Sprint(c.votes), fmt.Sprintf("%.0f%%", 100*c.errR),
+			c.name, fmt.Sprint(c.votes), fmt.Sprintf("%.0f%%", 100*c.errR),
 			fmt.Sprintf("%.1f", float64(qSum)/seeds), fmt.Sprintf("%.1f", float64(hitSum)/seeds),
 			fmt.Sprintf("%.2f", costSum/seeds), fmt.Sprintf("%d/%d", success, seeds),
 		})
 	}
-	t.Notes = append(t.Notes, "success = runs ending with a predicate labeling the whole instance exactly like the goal")
+	t.Notes = append(t.Notes,
+		"success = runs ending with a predicate labeling the whole instance exactly like the goal",
+		"every run asks through session.Manager, which charges one HIT per submitted label and nothing for a batch it rejects as inconsistent; a batch answers one informative pair, so no run here is rejected")
 	return t
 }

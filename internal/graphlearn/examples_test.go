@@ -11,7 +11,8 @@ func sessionState(s *Session) (cands []string, informative []graph.Pair, result 
 	for _, q := range s.Candidates {
 		cands = append(cands, q.String())
 	}
-	return cands, s.InformativePairs(), s.Result().String()
+	informative, _ = s.InformativeScan(0)
+	return cands, informative, s.Result().String()
 }
 
 // The fused constructor must be state-identical to a session over the same
@@ -85,8 +86,8 @@ func TestNewSessionExamplesEquivalentToReplay(t *testing.T) {
 	}
 }
 
-// InformativeScan must return a strict prefix of InformativePairs with the
-// full count, and exit early on a collapsed version space.
+// A limited InformativeScan must return a prefix of the unlimited scan with
+// the full count, and exit early on a collapsed version space.
 func TestInformativeScanPrefixAndCollapse(t *testing.T) {
 	g := graph.GenerateGeo(3, 30)
 	pool := DefaultPool(g, 4, 200)
@@ -102,7 +103,7 @@ func TestInformativeScanPrefixAndCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := s.InformativePairs()
+	all, _ := s.InformativeScan(0)
 	for _, lim := range []int{1, 2, len(all), len(all) + 5} {
 		got, total := s.InformativeScan(lim)
 		if total != len(all) {
@@ -123,16 +124,7 @@ func TestInformativeScanPrefixAndCollapse(t *testing.T) {
 	}
 	// Collapse the version space to one candidate; the scan must return
 	// nothing without touching the pool.
-	oracle := GoalOracle{G: g, Goal: goal}
-	for steps := 0; len(s.Candidates) > 1 && steps < 5000; steps++ {
-		inf := s.InformativePairs()
-		if len(inf) == 0 {
-			break
-		}
-		if err := s.Record(inf[0], oracle.LabelPair(inf[0].Src, inf[0].Dst)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	converge(t, s, goal, nil)
 	if len(s.Candidates) < 2 {
 		if got, total := s.InformativeScan(0); got != nil || total != 0 {
 			t.Fatalf("collapsed scan returned (%v, %d), want (nil, 0)", got, total)

@@ -4,8 +4,10 @@
 // select two vertices from the graph [...] Our algorithms compute what
 // paths the user should be asked to label (as positive or negative example)
 // in order to gather as many information as possible with few
-// interactions", including the workload prior ("use query workload
-// techniques to take advantage of the previously inferred paths").
+// interactions". The paper's workload prior ("use query workload techniques
+// to take advantage of the previously inferred paths") is not implemented:
+// measured on T8's instances it asked no fewer questions than a plain
+// split order.
 //
 // The hypothesis class is the path-query class of internal/graph:
 // concatenations of edge labels and starred labels. The learner

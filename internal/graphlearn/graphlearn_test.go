@@ -177,109 +177,22 @@ func TestInteractiveIdentifiesGoal(t *testing.T) {
 		t.Skip("no multi-hop pure-highway seed for this graph")
 	}
 	pool := DefaultPool(g, 4, 500)
-	oracle := GoalOracle{G: g, Goal: goal}
-	for _, strat := range []Strategy{
-		RandomStrategy{Rng: rand.New(rand.NewSource(3))},
-		SplitStrategy{},
-	} {
-		stats, err := Run(g, seed, pool, oracle, strat)
+	for _, order := range []struct {
+		name string
+		pick func(int) int
+	}{{"first", nil}, {"random", rand.New(rand.NewSource(3)).Intn}} {
+		s, err := NewSession(g, seed, pool)
 		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
+			t.Fatalf("%s: %v", order.name, err)
 		}
+		converge(t, s, goal, order.pick)
 		// The learned query must agree with the goal on the pool.
+		learned := s.Result()
 		for _, p := range pool {
-			if g.Selects(stats.Learned, p.Src, p.Dst) != g.Selects(goal, p.Src, p.Dst) {
-				t.Errorf("%s: learned %s disagrees with goal %s on %v",
-					strat.Name(), stats.Learned, goal, p)
+			if g.Selects(learned, p.Src, p.Dst) != g.Selects(goal, p.Src, p.Dst) {
+				t.Errorf("%s: learned %s disagrees with goal %s on %v", order.name, learned, goal, p)
 				break
 			}
-		}
-		if stats.Questions > stats.PoolSize {
-			t.Errorf("%s: more questions than pool pairs", strat.Name())
-		}
-	}
-}
-
-func TestSplitBeatsRandomOnAverage(t *testing.T) {
-	g := graph.GenerateGeo(11, 30)
-	goal := graph.MustParsePathQuery("highway.highway*")
-	var seed graph.Pair
-	found := false
-	for _, p := range g.Eval(goal) {
-		w := g.ShortestWord(p.Src, p.Dst)
-		if len(w) >= 2 {
-			pure := true
-			for _, l := range w {
-				if l != "highway" {
-					pure = false
-				}
-			}
-			if pure {
-				seed, found = p, true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Skip("no suitable seed")
-	}
-	pool := DefaultPool(g, 4, 500)
-	oracle := GoalOracle{G: g, Goal: goal}
-	split, err := Run(g, seed, pool, oracle, SplitStrategy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalRandom := 0
-	runs := 5
-	for i := 0; i < runs; i++ {
-		r, err := Run(g, seed, pool, oracle, RandomStrategy{Rng: rand.New(rand.NewSource(int64(i)))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalRandom += r.Questions
-	}
-	avgRandom := float64(totalRandom) / float64(runs)
-	t.Logf("split=%d avg-random=%.1f", split.Questions, avgRandom)
-	if float64(split.Questions) > 2*avgRandom+2 {
-		t.Errorf("split strategy much worse than random: %d vs %.1f", split.Questions, avgRandom)
-	}
-}
-
-func TestPriorStrategy(t *testing.T) {
-	g := graph.GenerateGeo(11, 30)
-	goal := graph.MustParsePathQuery("highway.highway*")
-	var seed graph.Pair
-	found := false
-	for _, p := range g.Eval(goal) {
-		w := g.ShortestWord(p.Src, p.Dst)
-		if len(w) >= 2 {
-			pure := true
-			for _, l := range w {
-				if l != "highway" {
-					pure = false
-				}
-			}
-			if pure {
-				seed, found = p, true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Skip("no suitable seed")
-	}
-	pool := DefaultPool(g, 4, 500)
-	oracle := GoalOracle{G: g, Goal: goal}
-	// Workload correlated with the goal.
-	prior := &PriorStrategy{G: g, Workload: []graph.PathQuery{goal}, Fallback: SplitStrategy{}}
-	stats, err := Run(g, seed, pool, oracle, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pool {
-		if g.Selects(stats.Learned, p.Src, p.Dst) != g.Selects(goal, p.Src, p.Dst) {
-			t.Errorf("prior: learned %s disagrees with goal on %v", stats.Learned, p)
-			break
 		}
 	}
 }
@@ -334,12 +247,12 @@ func TestQuickSessionNeverExceedsPool(t *testing.T) {
 				return true // goal outside candidate space; skip
 			}
 		}
-		pool := DefaultPool(g, 3, 200)
-		stats, err := Run(g, seedPair, pool, GoalOracle{G: g, Goal: goal}, SplitStrategy{})
+		s, err := NewSession(g, seedPair, DefaultPool(g, 3, 200))
 		if err != nil {
 			return true // candidate-space misses are acceptable here
 		}
-		return stats.Questions <= len(pool)
+		converge(t, s, goal, nil) // fails the test on a question beyond the pool
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -2,7 +2,6 @@ package graphlearn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"querylearn/internal/bitset"
 	"querylearn/internal/graph"
@@ -18,20 +17,6 @@ const layerSession = "graphlearn.session"
 // label node pairs the surviving candidates disagree on. Pairs on which all
 // candidates agree are uninformative and never asked — the pruning that
 // minimizes interactions.
-
-// Oracle answers pair-membership questions.
-type Oracle interface {
-	LabelPair(src, dst int) bool
-}
-
-// GoalOracle simulates the user with a hidden goal query.
-type GoalOracle struct {
-	G    *graph.Graph
-	Goal graph.PathQuery
-}
-
-// LabelPair implements Oracle.
-func (o GoalOracle) LabelPair(src, dst int) bool { return o.G.Selects(o.Goal, src, dst) }
 
 // Session is the state of one interactive run. The version space is
 // pool-projected and sparse: only the pairs that can ever be probed — the
@@ -141,7 +126,6 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 	// keep, so the pre-pass changes evaluation cost, never state.
 	survivors := cands
 	if len(examples) > 0 {
-		done := s.rec.StartPlan(layerSession)
 		labeledPairs := make([]graph.Pair, 0, len(examples)+1)
 		for _, e := range examples {
 			labeledPairs = append(labeledPairs, e.Pair)
@@ -162,7 +146,6 @@ func newSession(g *graph.Graph, seed graph.Pair, pool, probes []graph.Pair, exam
 				survivors = append(survivors, cands[c])
 			}
 		}
-		done()
 		s.rec.Decide(layerSession, "pruned-before-pool", len(cands)-len(survivors))
 		if len(survivors) == 0 {
 			return nil, fmt.Errorf("graphlearn: answers eliminated every candidate (goal outside the class)")
@@ -246,16 +229,10 @@ func (s *Session) Informative(p graph.Pair) bool {
 	return false
 }
 
-// InformativePairs lists the informative pool pairs.
-func (s *Session) InformativePairs() []graph.Pair {
-	out, _ := s.InformativeScan(0)
-	return out
-}
-
-// InformativeScan is the streamed form of InformativePairs behind batched
-// question proposal: the pool is still scanned in full (the total
-// informative count is part of the wire contract), but at most limit pairs
-// are materialized (limit <= 0 means all). A collapsed version space —
+// InformativeScan lists the informative pool pairs in pool order for
+// question proposal: the pool is scanned in full (the total informative
+// count is part of the wire contract), but at most limit pairs are
+// materialized (limit <= 0 means all). A collapsed version space —
 // fewer than two surviving candidates — exits before touching the pool:
 // nothing can be informative once the survivors cannot disagree.
 func (s *Session) InformativeScan(limit int) ([]graph.Pair, int) {
@@ -323,54 +300,6 @@ func (s *Session) Result() graph.PathQuery {
 		}
 	}
 	return s.Candidates[best]
-}
-
-// Strategy orders the questions.
-type Strategy interface {
-	Pick(s *Session, informative []graph.Pair) int
-	Name() string
-}
-
-// RunStats summarizes an interactive run.
-type RunStats struct {
-	Strategy  string
-	Questions int
-	PoolSize  int
-	Pruned    int
-	Survivors int
-	Learned   graph.PathQuery
-}
-
-// Run drives the loop until no informative pair remains.
-func Run(g *graph.Graph, seed graph.Pair, pool []graph.Pair, oracle Oracle, strat Strategy) (RunStats, error) {
-	s, err := NewSession(g, seed, pool)
-	if err != nil {
-		return RunStats{}, err
-	}
-	for {
-		inf := s.InformativePairs()
-		if len(inf) == 0 {
-			break
-		}
-		pick := strat.Pick(s, inf)
-		if pick < 0 || pick >= len(inf) {
-			return RunStats{}, fmt.Errorf("graphlearn: strategy %s picked out of range", strat.Name())
-		}
-		p := inf[pick]
-		ans := oracle.LabelPair(p.Src, p.Dst)
-		s.Questions++
-		if err := s.Record(p, ans); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return RunStats{
-		Strategy:  strat.Name(),
-		Questions: s.Questions,
-		PoolSize:  len(pool),
-		Pruned:    len(pool) - s.Questions,
-		Survivors: len(s.Candidates),
-		Learned:   s.Result(),
-	}, nil
 }
 
 // DefaultPool returns the candidate pairs a user could reasonably be shown:
@@ -460,108 +389,3 @@ func (it *poolIter) next() (graph.Pair, bool) {
 	it.queue, it.seen = nil, nil
 	return graph.Pair{}, false
 }
-
-// RandomStrategy asks a uniformly random informative pair.
-type RandomStrategy struct{ Rng *rand.Rand }
-
-// Pick implements Strategy.
-func (r RandomStrategy) Pick(_ *Session, inf []graph.Pair) int { return r.Rng.Intn(len(inf)) }
-
-// Name implements Strategy.
-func (RandomStrategy) Name() string { return "random" }
-
-// SplitStrategy asks the pair that splits the version space most evenly —
-// the information-greedy choice.
-type SplitStrategy struct{}
-
-// Pick implements Strategy.
-func (SplitStrategy) Pick(s *Session, inf []graph.Pair) int {
-	best, bestDist := 0, 1<<30
-	for i, p := range inf {
-		id, ok := s.slots[p]
-		if !ok {
-			continue // informative pairs come from the interned pool
-		}
-		yes := 0
-		for c := range s.Candidates {
-			if s.selects[c].Has(id) {
-				yes++
-			}
-		}
-		d := 2*yes - len(s.Candidates)
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
-// Name implements Strategy.
-func (SplitStrategy) Name() string { return "split" }
-
-// PriorStrategy prefers informative pairs selected by previously learned
-// workload queries — the paper's "ask with priority the next user to label
-// a path having the same property" heuristic — falling back to an inner
-// strategy among equally prior-favoured pairs.
-type PriorStrategy struct {
-	G        *graph.Graph
-	Workload []graph.PathQuery
-	Fallback Strategy
-	// cache holds each workload query's membership over cacheFor's interned
-	// universe — pool-projected like the session itself, so the prior costs
-	// one EvalPairs per workload query instead of an n²-bit all-pairs set.
-	cacheFor *Session
-	cache    []*bitset.Set
-}
-
-// Pick implements Strategy.
-func (ps *PriorStrategy) Pick(s *Session, inf []graph.Pair) int {
-	if ps.cacheFor != s {
-		ps.cacheFor = s
-		ps.cache = ps.cache[:0]
-		universe := append([]graph.Pair(nil), s.universe...)
-		for _, w := range ps.Workload {
-			sel := bitset.New(len(universe))
-			for id, in := range ps.G.EvalPairs(w, universe) {
-				if in {
-					sel.Add(id)
-				}
-			}
-			ps.cache = append(ps.cache, sel)
-		}
-	}
-	bestScore := -1
-	var bestIdx []int
-	for i, p := range inf {
-		id, ok := s.slots[p]
-		score := 0
-		if ok {
-			for _, sel := range ps.cache {
-				// Slots interned after the cache was built score zero.
-				if id < sel.Cap() && sel.Has(id) {
-					score++
-				}
-			}
-		}
-		if score > bestScore {
-			bestScore = score
-			bestIdx = []int{i}
-		} else if score == bestScore {
-			bestIdx = append(bestIdx, i)
-		}
-	}
-	if len(bestIdx) == 1 || ps.Fallback == nil {
-		return bestIdx[0]
-	}
-	sub := make([]graph.Pair, len(bestIdx))
-	for k, i := range bestIdx {
-		sub[k] = inf[i]
-	}
-	return bestIdx[ps.Fallback.Pick(s, sub)]
-}
-
-// Name implements Strategy.
-func (ps *PriorStrategy) Name() string { return "prior" }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"querylearn/internal/graph"
 )
@@ -27,24 +28,37 @@ func denseMembership(g *graph.Graph, qs []graph.PathQuery, pairs []graph.Pair) [
 	return out
 }
 
-// driveTranscript runs a session to convergence with a deterministic
-// strategy, returning the asked pairs, the final survivors, and the result.
-func driveTranscript(t *testing.T, s *Session, oracle Oracle, strat Strategy) (asked []graph.Pair, survivors []string, result string) {
+// converge answers the session's informative pool pairs by the goal until
+// none is left, asking the pair pick chooses among them (nil asks the
+// first), and returns the pairs asked. It fails the test if the session
+// would ask more questions than its pool has pairs.
+func converge(t *testing.T, s *Session, goal graph.PathQuery, pick func(n int) int) []graph.Pair {
 	t.Helper()
-	for steps := 0; ; steps++ {
-		if steps > 5000 {
-			t.Fatal("session did not converge in 5000 questions")
-		}
-		inf := s.InformativePairs()
+	var asked []graph.Pair
+	for {
+		inf, _ := s.InformativeScan(0)
 		if len(inf) == 0 {
-			break
+			return asked
 		}
-		p := inf[strat.Pick(s, inf)]
+		if len(asked) >= len(s.Pool) {
+			t.Fatalf("still asking after %d questions over a %d-pair pool", len(asked), len(s.Pool))
+		}
+		p := inf[0]
+		if pick != nil {
+			p = inf[pick(len(inf))]
+		}
 		asked = append(asked, p)
-		if err := s.Record(p, oracle.LabelPair(p.Src, p.Dst)); err != nil {
+		if err := s.Record(p, s.G.Selects(goal, p.Src, p.Dst)); err != nil {
 			t.Fatalf("Record(%v): %v", p, err)
 		}
 	}
+}
+
+// driveTranscript runs a session to convergence in first-informative order,
+// returning the asked pairs, the final survivors, and the result.
+func driveTranscript(t *testing.T, s *Session, goal graph.PathQuery) (asked []graph.Pair, survivors []string, result string) {
+	t.Helper()
+	asked = converge(t, s, goal, nil)
 	for _, q := range s.Candidates {
 		survivors = append(survivors, q.String())
 	}
@@ -85,9 +99,8 @@ func TestDifferentialSparseVsDenseSession(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense session errored where sparse did not: %v", err)
 			}
-			oracle := GoalOracle{G: g, Goal: goal}
-			sa, ss, sr := driveTranscript(t, sparse, oracle, SplitStrategy{})
-			da, ds, dr := driveTranscript(t, dense, oracle, SplitStrategy{})
+			sa, ss, sr := driveTranscript(t, sparse, goal)
+			da, ds, dr := driveTranscript(t, dense, goal)
 			if fmt.Sprint(sa) != fmt.Sprint(da) {
 				t.Fatalf("seed %d goal %s: question sequences differ\nsparse %v\ndense  %v", seed, goal, sa, da)
 			}
@@ -131,7 +144,6 @@ func TestSparseSessionUniverseGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := GoalOracle{G: g, Goal: goal}
 	n := g.NumNodes()
 	recorded := 0
 	for src := 0; src < n && recorded < 8; src++ {
@@ -143,7 +155,7 @@ func TestSparseSessionUniverseGrowth(t *testing.T) {
 			if sparse.Informative(p) != dense.Informative(p) {
 				t.Fatalf("Informative(%v) disagrees before recording", p)
 			}
-			ans := oracle.LabelPair(p.Src, p.Dst)
+			ans := g.Selects(goal, p.Src, p.Dst)
 			if err := sparse.Record(p, ans); err != nil {
 				t.Fatalf("sparse Record(%v): %v", p, err)
 			}
@@ -156,10 +168,42 @@ func TestSparseSessionUniverseGrowth(t *testing.T) {
 	if recorded == 0 {
 		t.Skip("no informative out-of-pool pair for this seed")
 	}
-	_, ss, sr := driveTranscript(t, sparse, oracle, SplitStrategy{})
-	_, ds, dr := driveTranscript(t, dense, oracle, SplitStrategy{})
+	_, ss, sr := driveTranscript(t, sparse, goal)
+	_, ds, dr := driveTranscript(t, dense, goal)
 	if fmt.Sprint(ss) != fmt.Sprint(ds) || sr != dr {
 		t.Fatalf("after universe growth: survivors %v vs %v, result %s vs %s", ss, ds, sr, dr)
+	}
+}
+
+// A session build drains planning time only. The pre-pass over the
+// examples evaluates through the same recorder that EvalPairsMany plans
+// into, so timing the pre-pass as planning would count evaluation as plan
+// time (and the evaluation's own planning twice). A membership call that
+// sleeps before evaluating must leave no more than the real planning on the
+// recorder.
+func TestBuildPlanTimeExcludesEvaluation(t *testing.T) {
+	g := graph.GenerateGeo(3, 30)
+	goal := graph.MustParsePathQuery("highway.highway*")
+	var seedPair graph.Pair
+	for _, p := range g.Eval(goal) {
+		if p.Src != p.Dst && len(g.ShortestWord(p.Src, p.Dst)) >= 2 {
+			seedPair = p
+			break
+		}
+	}
+	const pause = 20 * time.Millisecond
+	slow := func(g *graph.Graph, qs []graph.PathQuery, pairs []graph.Pair) [][]bool {
+		time.Sleep(pause)
+		return g.EvalPairsMany(qs, pairs, nil)
+	}
+	// The seed as its own example runs the pre-pass without eliminating.
+	examples := []LabeledPair{{Pair: seedPair, Positive: true}}
+	s, err := newSession(g, seedPair, DefaultPool(g, 4, 100), nil, examples, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _, _ := s.PlanRecorder().Drain(); d >= pause {
+		t.Fatalf("build drained %v of plan time, at least the %v its evaluation slept", d, pause)
 	}
 }
 
@@ -263,55 +307,8 @@ func TestDefaultPoolUncappedSetUnchanged(t *testing.T) {
 	}
 }
 
-// The PriorStrategy's pool-projected workload cache must rebuild per session
-// and produce stable picks.
-func TestPriorStrategyCachePerSession(t *testing.T) {
-	g := graph.GenerateGeo(11, 30)
-	goal := graph.MustParsePathQuery("highway.highway*")
-	var seedPair graph.Pair
-	found := false
-	for _, p := range g.Eval(goal) {
-		w := g.ShortestWord(p.Src, p.Dst)
-		if len(w) >= 2 {
-			pure := true
-			for _, l := range w {
-				if l != "highway" {
-					pure = false
-				}
-			}
-			if pure {
-				seedPair, found = p, true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Skip("no suitable seed")
-	}
-	prior := &PriorStrategy{G: g, Workload: []graph.PathQuery{goal}, Fallback: SplitStrategy{}}
-	oracle := GoalOracle{G: g, Goal: goal}
-	// Two back-to-back runs share the strategy value; the cache must key on
-	// the session, not survive across sessions with stale universes.
-	first, err := Run(g, seedPair, DefaultPool(g, 4, 500), oracle, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(g, seedPair, DefaultPool(g, 3, 50), oracle, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Questions == 0 && second.Questions == 0 {
-		t.Skip("degenerate dialogues")
-	}
-	for _, p := range DefaultPool(g, 3, 50) {
-		if g.Selects(second.Learned, p.Src, p.Dst) != g.Selects(goal, p.Src, p.Dst) {
-			t.Fatalf("second session's result disagrees with goal on its pool pair %v", p)
-		}
-	}
-}
-
-// Random-strategy runs over the sparse engine must stay inside the pool
-// budget (ported sanity check at a larger scale than the quick test).
+// Random-order dialogues over the sparse engine must stay inside the pool
+// budget (the quick test's check at a larger scale).
 func TestSparseSessionRandomRuns(t *testing.T) {
 	g := graph.GenerateGeo(21, 60)
 	goal := graph.MustParsePathQuery("road.road*")
@@ -336,12 +333,9 @@ func TestSparseSessionRandomRuns(t *testing.T) {
 	if !found {
 		t.Skip("no pure-road seed")
 	}
-	pool := DefaultPool(g, 4, 400)
-	stats, err := Run(g, seedPair, pool, GoalOracle{G: g, Goal: goal}, RandomStrategy{Rng: rand.New(rand.NewSource(8))})
+	s, err := NewSession(g, seedPair, DefaultPool(g, 4, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Questions > len(pool) {
-		t.Fatalf("asked %d questions over a %d-pair pool", stats.Questions, len(pool))
-	}
+	converge(t, s, goal, rand.New(rand.NewSource(8)).Intn)
 }

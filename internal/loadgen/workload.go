@@ -151,7 +151,6 @@ func prepareJoin(src string) (string, Oracle, string, error) {
 	if !ok {
 		return "", nil, "", fmt.Errorf("no join predicate is consistent with the task examples")
 	}
-	goalOracle := rellearn.GoalOracle{U: u, Goal: goalSet}
 	var b strings.Builder
 	fmt.Fprintf(&b, "left %s %s\n", task.Left.Name, strings.Join(task.Left.Attrs, ","))
 	task.Left.Each(func(_ int, row []string) { fmt.Fprintf(&b, "lrow %s\n", strings.Join(row, ",")) })
@@ -165,7 +164,7 @@ func prepareJoin(src string) (string, Oracle, string, error) {
 		if err := json.Unmarshal(item, &it); err != nil {
 			return false, err
 		}
-		return goalOracle.LabelPair(it.Left, it.Right), nil
+		return goalSet.SubsetOf(u.Agree(it.Left, it.Right)), nil
 	}
 	pred := u.Decode(goalSet)
 	parts := make([]string, len(pred))

@@ -216,6 +216,38 @@ func TestSemijoinGreedyCanMissExactFinds(t *testing.T) {
 	}
 }
 
+// converge answers the session's informative pairs by the goal predicate
+// until none is left, asking the pair pick chooses among them (nil asks the
+// first), and returns the number of questions asked.
+func converge(t *testing.T, s *Session, goal PairSet, pick func(n int) int) int {
+	t.Helper()
+	for asked := 0; ; asked++ {
+		cands, _ := s.CandidatesLimited(0)
+		if len(cands) == 0 {
+			return asked
+		}
+		c := cands[0]
+		if pick != nil {
+			c = cands[pick(len(cands))]
+		}
+		if err := s.Record(c.Left, c.Right, goal.SubsetOf(s.U.Agree(c.Left, c.Right))); err != nil {
+			t.Fatalf("Record(%d, %d): %v", c.Left, c.Right, err)
+		}
+	}
+}
+
+// sameOnInstance reports whether two predicates select the same tuple pairs.
+func sameOnInstance(u *Universe, p, q PairSet) bool {
+	for li := 0; li < u.Left.Len(); li++ {
+		for ri := 0; ri < u.Right.Len(); ri++ {
+			if a := u.Agree(li, ri); p.SubsetOf(a) != q.SubsetOf(a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestInteractiveIdentifiesGoal(t *testing.T) {
 	l, r := twoRelations(t)
 	u := NewUniverse(l, r)
@@ -223,40 +255,26 @@ func TestInteractiveIdentifiesGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{
-		RandomStrategy{Rng: rand.New(rand.NewSource(1))},
-		MaxAgreeStrategy{},
-		HalfSplitStrategy{},
-	} {
-		stats, err := Run(u, GoalOracle{U: u, Goal: goal}, strat)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
-		}
-		learned, err := u.Encode(stats.Learned)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, order := range []struct {
+		name string
+		pick func(int) int
+	}{{"first", nil}, {"random", rand.New(rand.NewSource(1)).Intn}} {
+		s := NewSession(u)
+		asked := converge(t, s, goal, order.pick)
 		// The learned most specific predicate must select exactly the
 		// same pairs as the goal.
-		for li := 0; li < l.Len(); li++ {
-			for ri := 0; ri < r.Len(); ri++ {
-				a := u.Agree(li, ri)
-				if goal.SubsetOf(a) != learned.SubsetOf(a) {
-					t.Errorf("%s: learned %v disagrees with goal on (%d,%d)",
-						strat.Name(), stats.Learned, li, ri)
-				}
-			}
+		if !sameOnInstance(u, goal, s.Result()) {
+			t.Errorf("%s: learned %v disagrees with goal", order.name, u.Decode(s.Result()))
 		}
-		if stats.Questions+stats.PrunedCertain != stats.TotalPairs {
-			t.Errorf("%s: accounting off: %d+%d != %d", strat.Name(),
-				stats.Questions, stats.PrunedCertain, stats.TotalPairs)
+		if asked > l.Len()*r.Len() {
+			t.Errorf("%s: asked %d questions over %d pairs", order.name, asked, l.Len()*r.Len())
 		}
 	}
 }
 
 func TestInteractivePruningHelps(t *testing.T) {
-	// On a larger instance the smart strategy must ask far fewer
-	// questions than there are pairs.
+	// On a larger instance the dialogue must ask far fewer questions than
+	// there are pairs.
 	rng := rand.New(rand.NewSource(7))
 	l := relational.MustNew("L", "a", "b", "c")
 	r := relational.MustNew("R", "x", "y", "z")
@@ -266,13 +284,8 @@ func TestInteractivePruningHelps(t *testing.T) {
 	}
 	u := NewUniverse(l, r)
 	goal, _ := u.Encode([]relational.AttrPair{{Left: "a", Right: "x"}, {Left: "b", Right: "y"}})
-	stats, err := Run(u, GoalOracle{U: u, Goal: goal}, MaxAgreeStrategy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Questions >= stats.TotalPairs/2 {
-		t.Errorf("smart strategy asked %d of %d pairs; pruning ineffective",
-			stats.Questions, stats.TotalPairs)
+	if asked, total := converge(t, NewSession(u), goal, nil), l.Len()*r.Len(); asked >= total/2 {
+		t.Errorf("asked %d of %d pairs; pruning ineffective", asked, total)
 	}
 }
 
@@ -534,21 +547,9 @@ func TestQuickInteractiveAlwaysIdentifies(t *testing.T) {
 				goal = goal.With(i)
 			}
 		}
-		stats, err := Run(u, GoalOracle{U: u, Goal: goal}, MaxAgreeStrategy{})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		learned, _ := u.Encode(stats.Learned)
-		for li := 0; li < l.Len(); li++ {
-			for ri := 0; ri < r.Len(); ri++ {
-				a := u.Agree(li, ri)
-				if goal.SubsetOf(a) != learned.SubsetOf(a) {
-					return false
-				}
-			}
-		}
-		return true
+		s := NewSession(u)
+		converge(t, s, goal, nil)
+		return sameOnInstance(u, goal, s.Result())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

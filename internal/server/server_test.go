@@ -13,8 +13,8 @@ import (
 	"querylearn/internal/core"
 	"querylearn/internal/graph"
 	"querylearn/internal/graphlearn"
-	"querylearn/internal/interact"
 	"querylearn/internal/obs"
+	"querylearn/internal/relational"
 	"querylearn/internal/rellearn"
 	"querylearn/internal/session"
 	"querylearn/internal/store"
@@ -167,63 +167,57 @@ func (c *client) converge(id string, oracle func(json.RawMessage) bool) (session
 }
 
 // inProcessResult runs the equivalent in-process interactive loop — the same
-// ask-first-informative policy the service uses — via the model's native
-// machinery (interact.Run for twig, the model Run loops for join and path,
-// the session learner for schema).
+// ask-first-informative policy the service uses — on the model's native
+// session (the session learner for schema), and returns what it learns.
 func inProcessResult(t *testing.T, model string, oracle func(json.RawMessage) bool) string {
 	t.Helper()
 	switch model {
 	case "twig":
 		task, err := core.ParseTwigTask(twigTask)
 		must(t, err)
-		opts := twiglearn.DefaultOptions()
-		sess, err := twiglearn.NewTwigSession(task.Docs, 0, task.Examples[0].Node, opts)
+		sess, err := twiglearn.NewTwigSession(task.Docs, 0, task.Examples[0].Node, twiglearn.DefaultOptions())
 		must(t, err)
-		o := interact.OracleFunc[twiglearn.NodeRef](func(ref twiglearn.NodeRef) bool {
-			item, _ := json.Marshal(map[string]any{"doc": ref.Doc, "path": core.NodePathOf(ref.Node)})
-			return oracle(item)
-		})
-		_, err = interact.Run[twiglearn.NodeRef](sess, o, interact.FirstPicker[twiglearn.NodeRef](), 0)
-		must(t, err)
+		for inf := sess.Informative(); len(inf) > 0; inf = sess.Informative() {
+			item, _ := json.Marshal(map[string]any{"doc": inf[0].Doc, "path": core.NodePathOf(inf[0].Node)})
+			must(t, sess.Record(inf[0], oracle(item)))
+		}
 		return sess.Hypothesis().String()
 	case "join":
 		task, err := core.ParseJoinTask(joinTask)
 		must(t, err)
 		u := rellearn.NewUniverse(task.Left, task.Right)
-		o := pairOracleFunc(func(li, ri int) bool {
-			item, _ := json.Marshal(map[string]any{"left": li, "right": ri})
-			return oracle(item)
-		})
-		stats, err := rellearn.Run(u, o, firstJoinStrategy{})
-		must(t, err)
-		parts := make([]string, len(stats.Learned))
-		for i, p := range stats.Learned {
-			parts[i] = p.String()
+		sess := rellearn.NewSession(u)
+		for cands, _ := sess.CandidatesLimited(0); len(cands) > 0; cands, _ = sess.CandidatesLimited(0) {
+			item, _ := json.Marshal(map[string]any{"left": cands[0].Left, "right": cands[0].Right})
+			must(t, sess.Record(cands[0].Left, cands[0].Right, oracle(item)))
+		}
+		var parts []string
+		for _, p := range relational.SortPairs(u.Decode(sess.Result())) {
+			parts = append(parts, p.String())
 		}
 		return strings.Join(parts, " & ")
 	case "path":
 		task, err := core.ParsePathTask(pathTask)
 		must(t, err)
 		g := task.Graph
-		pool := graphlearn.DefaultPool(g, 5, 2000)
-		o := pairOracleFunc(func(src, dst int) bool {
-			item, _ := json.Marshal(map[string]any{"src": g.Node(src), "dst": g.Node(dst)})
-			return oracle(item)
-		})
 		seed := graph.Pair{Src: task.Examples[0].Src, Dst: task.Examples[0].Dst}
-		stats, err := graphlearn.Run(g, seed, pool, o, firstPathStrategy{})
+		sess, err := graphlearn.NewSession(g, seed, graphlearn.DefaultPool(g, 5, 2000))
 		must(t, err)
-		return stats.Learned.String()
+		for inf, _ := sess.InformativeScan(0); len(inf) > 0; inf, _ = sess.InformativeScan(0) {
+			item, _ := json.Marshal(map[string]any{"src": g.Node(inf[0].Src), "dst": g.Node(inf[0].Dst)})
+			must(t, sess.Record(inf[0], oracle(item)))
+		}
+		return sess.Result().String()
 	case "schema":
-		l, err := session.New("schema", schemaTask)
+		l, err := session.NewLimited("schema", schemaTask, session.Limits{})
 		must(t, err)
 		for {
-			q, ok, err := session.Next(l)
+			qs, err := l.Propose(1)
 			must(t, err)
-			if !ok {
+			if len(qs) == 0 {
 				break
 			}
-			must(t, l.Record(q.Item, oracle(q.Item)))
+			must(t, l.Record(qs[0].Item, oracle(qs[0].Item)))
 		}
 		h, err := l.Hypothesis()
 		must(t, err)
@@ -233,27 +227,14 @@ func inProcessResult(t *testing.T, model string, oracle func(json.RawMessage) bo
 	return ""
 }
 
-// pairOracleFunc adapts a function to the rellearn/graphlearn Oracle shape.
-type pairOracleFunc func(a, b int) bool
-
-func (f pairOracleFunc) LabelPair(a, b int) bool { return f(a, b) }
-
-type firstJoinStrategy struct{}
-
-func (firstJoinStrategy) Pick(*rellearn.Session, []rellearn.Candidate) int { return 0 }
-func (firstJoinStrategy) Name() string                                     { return "first" }
-
-type firstPathStrategy struct{}
-
-func (firstPathStrategy) Pick(*graphlearn.Session, []graph.Pair) int { return 0 }
-func (firstPathStrategy) Name() string                               { return "first" }
-
 // TestEndToEndAllModels is the acceptance run: a full interactive session
 // for each of the four models over HTTP learns the same query the
-// in-process interactive loop learns.
+// in-process interactive loop learns, and for join and path that query is
+// the oracle's goal.
 func TestEndToEndAllModels(t *testing.T) {
 	c, _ := newTestServer(t, session.Config{})
 	orcs := oracleByModel(t)
+	goals := map[string]string{"join": "city=place & id=buyer", "path": "highway.highway"}
 	for model, task := range taskByModel {
 		id := c.create(model, task)
 		gotHTTP, questions := c.converge(id, orcs[model])
@@ -263,6 +244,9 @@ func TestEndToEndAllModels(t *testing.T) {
 		want := inProcessResult(t, model, orcs[model])
 		if gotHTTP.Query != want {
 			t.Errorf("%s: HTTP learned %q, in-process loop learned %q", model, gotHTTP.Query, want)
+		}
+		if goal, ok := goals[model]; ok && want != goal {
+			t.Errorf("%s: in-process loop learned %q, want the oracle's goal %q", model, want, goal)
 		}
 		if questions == 0 {
 			t.Errorf("%s: no questions asked over HTTP", model)

@@ -107,7 +107,7 @@ func batchOracles() map[string]func(json.RawMessage) bool {
 // k against the open-item count.
 func TestProposeBatchDistinct(t *testing.T) {
 	for model, task := range batchTasks() {
-		l, err := New(model, task)
+		l, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
@@ -188,7 +188,7 @@ func driveBatched(t *testing.T, l Learner, k int, oracle func(json.RawMessage) b
 func TestBatchVsSequentialDifferential(t *testing.T) {
 	orcs := batchOracles()
 	for model, task := range batchTasks() {
-		seq, err := New(model, task)
+		seq, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestBatchVsSequentialDifferential(t *testing.T) {
 			t.Fatalf("%s: sequential dialogue did not converge", model)
 		}
 		for _, k := range []int{4, 16} {
-			batched, err := New(model, task)
+			batched, err := NewLimited(model, task, Limits{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestBatchVsSequentialDifferential(t *testing.T) {
 func TestBatchAnswersSameAsSequentialAnswers(t *testing.T) {
 	orcs := batchOracles()
 	for model, task := range batchTasks() {
-		a, err := New(model, task)
+		a, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestBatchAnswersSameAsSequentialAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := New(model, task)
+		b, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,13 @@
 // Package session hosts long-lived interactive learning dialogues — the
 // paper's central scenario of a user (or paid crowd) labeling one example at
-// a time while the learner shrinks its version space. Where interact.Run
-// drives that loop in-process and start-to-finish, this package splits it at
-// the question/answer boundary so a session can survive the human-scale
-// latency between the two: a unified Learner interface over all four model
-// learners (twig, join, path, schema), a concurrent sharded Manager of live
-// sessions with TTL eviction and crowd-budget accounting, and JSON
-// snapshot/resume so a dialogue can be persisted and rehydrated mid-flight.
+// a time while the learner shrinks its version space. It is the one
+// implementation of that loop: the daemon serves it over HTTP and the
+// experiments drive it in process. The loop is split at the question/answer
+// boundary so a session can survive the human-scale latency between the
+// two: a unified Learner interface over all four model learners (twig, join,
+// path, schema), a concurrent sharded Manager of live sessions with TTL
+// eviction and crowd-budget accounting, and JSON snapshot/resume so a
+// dialogue can be persisted and rehydrated mid-flight.
 // Every state mutation flows through the Manager's single commit path as an
 // Event, which an optional Journal (internal/store's write-ahead log)
 // observes write-ahead; boot-time recovery registers journaled state through
@@ -85,16 +86,6 @@ func drainPlan(l Learner, tr *obs.Trace) {
 	}
 	d, _, _ := pr.PlanRecorder().Drain()
 	tr.Add("plan", d)
-}
-
-// Next proposes a single question — the k=1 convenience over Propose.
-// ok=false means the session has converged.
-func Next(l Learner) (q Question, ok bool, err error) {
-	qs, err := l.Propose(1)
-	if err != nil || len(qs) == 0 {
-		return Question{}, false, err
-	}
-	return qs[0], true, nil
 }
 
 // clampBatch normalizes a Propose k against the open-item count.
@@ -196,17 +187,11 @@ func (l Limits) Merge(req *api.PathLimits, enforceCaps bool) (Limits, error) {
 	return l, nil
 }
 
-// New builds a Learner of the given model from a task-file body (the same
-// line-oriented format cmd/querylearn reads, documented in
-// internal/core/task.go) under the default limits. The task's own examples
-// are replayed into the fresh session, so a task file doubles as a session
-// seed.
-func New(model, task string) (Learner, error) {
-	return NewLimited(model, task, Limits{})
-}
-
-// NewLimited is New under explicit resource limits (zero fields mean the
-// defaults).
+// NewLimited builds a Learner of the given model from a task-file body (the
+// same line-oriented format cmd/querylearn reads, documented in
+// internal/core/task.go) under explicit resource limits (zero fields mean
+// the defaults). The task's own examples are replayed into the fresh
+// session, so a task file doubles as a session seed.
 func NewLimited(model, task string, lim Limits) (Learner, error) {
 	lim = lim.withDefaults()
 	switch model {
@@ -239,8 +224,8 @@ func ItemKey(raw json.RawMessage) (string, error) {
 
 // decodeCache is a learner's handle on the manager's item interner, used to
 // memoize decodeItem results. Learners embed it; the Manager injects the
-// interner after construction, so learners built standalone (New) simply
-// decode every time. The zero value is a valid always-miss cache.
+// interner after construction, so learners built standalone (NewLimited)
+// simply decode every time. The zero value is a valid always-miss cache.
 type decodeCache struct{ in *itemInterner }
 
 func (c *decodeCache) setDecodeCache(in *itemInterner) { c.in = in }

@@ -177,7 +177,7 @@ func NewManager(cfg Config) *Manager {
 
 // attachCache hands a freshly built learner the manager-wide decode memo,
 // so equal items across sessions decode once (see intern.go). Learners
-// built standalone via New/NewLimited run uncached.
+// built standalone via NewLimited run uncached.
 func (m *Manager) attachCache(l Learner) {
 	if c, ok := l.(interface{ setDecodeCache(*itemInterner) }); ok {
 		c.setDecodeCache(m.intern)

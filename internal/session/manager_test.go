@@ -127,8 +127,8 @@ func TestAnswerMajorityReconciliation(t *testing.T) {
 	if err == nil || errors.Is(err, ErrFailed) {
 		t.Errorf("tie = %v, want plain error", err)
 	}
-	if st := s.Status(); st.Failed != "" {
-		t.Errorf("tie marked session failed: %+v", st)
+	if st := s.Status(); st.Failed != "" || st.HITs != 3 {
+		t.Errorf("tie marked session failed or was charged: %+v", st)
 	}
 }
 
@@ -184,8 +184,8 @@ func TestInconsistentAnswersFailSession(t *testing.T) {
 	if _, _, err := s.Question(); !errors.Is(err, ErrFailed) {
 		t.Errorf("Question on failed session = %v", err)
 	}
-	if st := s.Status(); st.Failed == "" {
-		t.Errorf("status not marked failed: %+v", st)
+	if st := s.Status(); st.Failed == "" || st.HITs != 1 {
+		t.Errorf("status not marked failed, or the rejected batch was charged: %+v", st)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 		oracle := orcs[model]
 
 		// Uninterrupted control run.
-		control, err := New(model, task)
+		control, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,13 +92,14 @@ func drive(t *testing.T, l Learner, oracle func(json.RawMessage) bool) (Hypothes
 	t.Helper()
 	questions := 0
 	for {
-		q, ok, err := Next(l)
+		qs, err := l.Propose(1)
 		if err != nil {
-			t.Fatalf("%s Next after %d questions: %v", l.Model(), questions, err)
+			t.Fatalf("%s Propose after %d questions: %v", l.Model(), questions, err)
 		}
-		if !ok {
+		if len(qs) == 0 {
 			break
 		}
+		q := qs[0]
 		questions++
 		if questions > 500 {
 			t.Fatalf("%s dialogue did not converge in 500 questions", l.Model())
@@ -112,7 +113,7 @@ func drive(t *testing.T, l Learner, oracle func(json.RawMessage) bool) (Hypothes
 		t.Fatalf("%s Hypothesis: %v", l.Model(), err)
 	}
 	if !h.Converged {
-		t.Errorf("%s hypothesis not marked converged after Next returned done", l.Model())
+		t.Errorf("%s hypothesis not marked converged after Propose returned nothing", l.Model())
 	}
 	return h, questions
 }
@@ -126,7 +127,7 @@ func TestAllModelsConvergeToGoal(t *testing.T) {
 	}
 	orcs := oracles(t)
 	for model, task := range tasks() {
-		l, err := New(model, task)
+		l, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatalf("New(%s): %v", model, err)
 		}
@@ -154,7 +155,7 @@ func TestNewRejectsBadInput(t *testing.T) {
 		{"schema", "", "no documents"},
 	}
 	for _, c := range cases {
-		if _, err := New(c.model, c.task); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+		if _, err := NewLimited(c.model, c.task, Limits{}); err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("New(%s, %q) error = %v, want containing %q", c.model, c.task, err, c.wantSub)
 		}
 	}
@@ -178,7 +179,7 @@ func TestRecordRejectsMalformedItems(t *testing.T) {
 		"schema": `{"left":0,"right":0}`,
 	}
 	for model, task := range tasks() {
-		l, err := New(model, task)
+		l, err := NewLimited(model, task, Limits{})
 		if err != nil {
 			t.Fatalf("New(%s): %v", model, err)
 		}
@@ -237,22 +238,23 @@ func TestItemKeyCanonicalizesFieldOrder(t *testing.T) {
 }
 
 func TestSchemaNegativeAnswersPruneFrontier(t *testing.T) {
-	l, err := New("schema", schemaTask)
+	l, err := NewLimited("schema", schemaTask, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, ok, err := Next(l)
-	if err != nil || !ok {
-		t.Fatalf("Next: ok=%v err=%v", ok, err)
+	qs, err := l.Propose(1)
+	if err != nil || len(qs) == 0 {
+		t.Fatalf("Propose: %v, err=%v", qs, err)
 	}
+	q := qs[0]
 	if err := l.Record(q.Item, false); err != nil {
 		t.Fatalf("negative Record: %v", err)
 	}
-	q2, ok, err := Next(l)
+	qs, err = l.Propose(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok && string(q2.Item) == string(q.Item) {
+	if len(qs) > 0 && string(qs[0].Item) == string(q.Item) {
 		t.Errorf("rejected document proposed again: %s", q.Item)
 	}
 	// Negative answers must not change the hypothesis of a positive-only

@@ -22,9 +22,9 @@ type NodeRef struct {
 	Node *xmltree.Node
 }
 
-// TwigSession is the interactive state. It implements the
-// interact.Learner[NodeRef] contract (Informative/Record) without importing
-// the package, so callers can drive it with interact.Run.
+// TwigSession is the interactive state: Informative lists the nodes worth
+// asking, Record applies an answer. internal/session serves it as the twig
+// model's learner.
 type TwigSession struct {
 	Corpus   []*xmltree.Node
 	Opts     Options
